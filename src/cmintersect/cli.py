@@ -3,9 +3,11 @@
 Verbs: `intersect` (coefficient of log ell), `primes` (candidate primes
 with witnesses), `special` (simplified-formula value), `selftest`
 (built-in oracle suites).  Field data arrives as a JSON document, inline
-or from a file; batch mode streams one report per record.  All rationals
-are emitted as [numerator, denominator] pairs and output is byte-stable
-for identical inputs.
+or from a file, and its values must be JSON integers; batch mode streams
+one line per record, the report or, for a bad record, an error naming the
+record's 0-based index and its exit class, and exits with the largest
+class seen.  All rationals are emitted as [numerator, denominator] pairs
+and output is byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -53,14 +55,28 @@ def _load_field_records(args) -> list[dict]:
     return [record]
 
 
+def _json_int(value, name: str) -> int:
+    # bool is a subclass of int, but JSON true is not the integer 1
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, not {json.dumps(value)}")
+    return value
+
+
+def _json_pair(value, name: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{name} must be a list of 2 JSON integers")
+    return _json_int(value[0], f"{name}[0]"), _json_int(value[1], f"{name}[1]")
+
+
 def _params_from_record(record: dict, args) -> CMFieldParams:
     try:
-        D = int(record["D"])
-        a0, a1 = (int(v) for v in record["alpha"])
-        b0, b1 = (int(v) for v in record["beta"])
+        D, alpha, beta = record["D"], record["alpha"], record["beta"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"field record needs D, alpha, beta: {exc}") from exc
-    index = int(record.get("index_bound", 1))
+    D = _json_int(D, "D")
+    a0, a1 = _json_pair(alpha, "alpha")
+    b0, b1 = _json_pair(beta, "beta")
+    index = _json_int(record.get("index_bound", 1), "index_bound")
     if args.index_bound is not None:
         index = args.index_bound
     return CMFieldParams(D, a0, a1, b0, b1, index)
@@ -276,7 +292,8 @@ def main(argv=None, out=sys.stdout) -> int:
         print("input error: --ell is required", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    for record in records:
+    worst = EXIT_OK
+    for i, record in enumerate(records):
         try:
             params = _params_from_record(record, args)
             field_data = validate(params)
@@ -287,16 +304,24 @@ def main(argv=None, out=sys.stdout) -> int:
             else:
                 payload = _run_special(field_data, args.ell)
         except IndexHypothesisViolated as exc:
-            print(f"hypothesis violated: {exc}", file=sys.stderr)
-            return EXIT_HYPOTHESIS_VIOLATED
+            code, label, msg = EXIT_HYPOTHESIS_VIOLATED, "hypothesis violated", str(exc)
         except (SymbolMismatch, IntegralityViolation) as exc:
-            print(f"internal invariant failure: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL_INVARIANT
+            code, label, msg = EXIT_INTERNAL_INVARIANT, "internal invariant failure", str(exc)
         except (FieldValidationError, ValueError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        _emit(payload, args.format, out)
-    return EXIT_OK
+            code, label, msg = EXIT_INPUT_ERROR, "input error", str(exc)
+        else:
+            _emit(payload, args.format, out)
+            continue
+        print(f"{label}: {msg}", file=sys.stderr)
+        if not args.batch:
+            return code
+        # a bad batch record takes one error line in its place; the rest still run
+        worst = max(worst, code)
+        if args.format == "json":
+            _emit({"error": msg, "exit": code, "record": i}, "json", out)
+        else:
+            out.write(f"error: record {i}: {msg}\n")
+    return worst
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ Dtilde is not a perfect square.
 Branches of the intersection sum are enumerated in three layers: delta
 (with D - 4*delta a perfect square), then n (a single residue class mod
 2D, both signs, bounded by delta^2 * Dtilde), then the divisor f_u.
+Each (delta, n) branch carries its Hilbert-symbol support, computed once
+and checked against the product formula.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .integers import is_prime, perfect_square_root
+from .integers import factorize, hilbert_symbol, is_prime, perfect_square_root
 from .quadratic_orders import discriminant_of
 
 
@@ -78,16 +80,25 @@ class DeltaContext:
 
 @dataclass(frozen=True)
 class NContext:
+    """One (delta, n) branch, independent of ell.
+
+    `support` is the sorted tuple of finite primes p with
+    (d_u, -N)_p = -1.  Both arguments are negative, so the symbol at the
+    archimedean place is -1 and the product formula makes the support
+    odd in size; the branch can contribute at ell only when the support
+    is exactly (ell,).  It is left empty only on branches built by hand.
+    """
+
     delta_ctx: DeltaContext
     n: int
-    N: int           # (delta^2 Dtilde - n^2) / (4D), positive, multiple of ell
+    N: int           # (delta^2 Dtilde - n^2) / (4D), positive
     n_u: int
     n_x: int
     n_w: int
     t_xuv: int
     d_u: int
     d_x: int
-    d_w: int
+    support: tuple[int, ...] = ()
 
 
 def congruence_constant(params: CMFieldParams) -> int:
@@ -175,12 +186,18 @@ def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
         n_w = b0 + (D - a) * b1 - n_u // delta
         d_u = dctx.t_u**2 - 4 * n_u
         d_x = dctx.t_x**2 - 4 * n_x
-        d_w = dctx.t_w**2 - 4 * n_w
         if d_u >= 0:
             raise IntegralityViolation(f"d_u = {d_u} is not negative")
         if (d_x * d_u - (dctx.t_x * dctx.t_u - 2 * t_xuv) ** 2) != 4 * N:
             raise IntegralityViolation("norm identity failed; input inconsistent")
-        out.append(NContext(dctx, n, N, n_u, n_x, n_w, t_xuv, d_u, d_x, d_w))
+        # away from 2 d_u N both arguments are units and the symbol is 1
+        primes = {2, *factorize(d_u).primes(), *factorize(N).primes()}
+        support = tuple(sorted(p for p in primes if hilbert_symbol(d_u, -N, p) == -1))
+        if len(support) % 2 == 0:
+            raise IntegralityViolation(
+                f"symbol support {support} of (d_u, -N) at (delta={delta}, n={n}) "
+                "has even size; product formula failed")
+        out.append(NContext(dctx, n, N, n_u, n_x, n_w, t_xuv, d_u, d_x, support))
     return tuple(out)
 
 

@@ -48,9 +48,7 @@ class ScrJQuery:
     N: int                      # (delta^2 Dtilde - n^2) / (4D)
     ell: int
     D: int
-    n: int
-    delta: int
-    Dtilde: int
+    support: tuple[int, ...]    # finite p with (d_u, -N)_p = -1
 
     def norm_target(self) -> Fraction:
         """(delta^2 Dtilde - n^2) / (4 D ell f_u^2); ideals need it integral."""
@@ -63,38 +61,33 @@ def build_query(nctx: NContext, f_u: int, ell: int, field) -> ScrJQuery:
         raise ValueError("order is not maximal at ell; f_u is inadmissible")
     return ScrJQuery(
         d1=d1, d2=nctx.d_x, t=t_pair(nctx, f_u), d_u=nctx.d_u, f_u=f_u,
-        N=nctx.N, ell=ell, D=field.params.D, n=nctx.n,
-        delta=nctx.delta_ctx.delta, Dtilde=field.Dtilde,
+        N=nctx.N, ell=ell, D=field.params.D, support=nctx.support,
     )
 
 
 def vanishing_test(q: ScrJQuery) -> bool:
     """True iff some prime p != ell gives Hilbert symbol -1.
 
-    The symbol is (d_u, D(n^2 - delta^2 Dtilde))_p; at primes dividing
-    neither 2 d_u D nor delta^2 Dtilde - n^2 both arguments are units, so
-    only divisors of that product are searched.  The second expression of
-    the same symbol is evaluated at every tested prime and must agree.
+    The symbol is (d_u, D(n^2 - delta^2 Dtilde))_p = (d_u, -N)_p, since
+    n^2 - delta^2 Dtilde = -4DN; the primes where it is -1 are the
+    branch's symbol support, so the test reads that.  The second
+    expression of the same symbol, with the pairing value t, is evaluated
+    at every prime p != ell dividing 2 d_u D N and must agree with the
+    support.
     """
-    arg1 = q.D * (q.n * q.n - q.delta**2 * q.Dtilde)
     d1f = Fraction(q.d_u, q.f_u**2)
     arg2 = (d1f * q.d2 - 2 * q.t) ** 2 - d1f * q.d2
-    primes = {2}
-    primes.update(factorize(q.d_u).primes())
-    primes.update(factorize(q.D).primes())
-    primes.update(factorize(q.delta**2 * q.Dtilde - q.n * q.n).primes())
-    vanishes = False
+    primes = {2, *factorize(q.d_u).primes(), *factorize(q.D).primes(),
+              *factorize(q.N).primes()}
     for p in sorted(primes):
         if p == q.ell:
             continue
-        s1 = hilbert_symbol(q.d_u, arg1, p)
+        s1 = -1 if p in q.support else 1
         s2 = hilbert_symbol(q.d_u, arg2, p)
         if s1 != s2:
             raise SymbolMismatch(
                 f"symbol expressions disagree at p = {p}: {s1} vs {s2}")
-        if s1 == -1:
-            vanishes = True
-    return vanishes
+    return any(p != q.ell for p in q.support)
 
 
 def _coprime_to_conductor(x: Fraction, f: int) -> bool:

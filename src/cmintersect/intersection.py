@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cm_fields import (CMFieldData, NContext, enumerate_delta, enumerate_fu,
-                        enumerate_n)
+from .cm_fields import (CMFieldData, NContext, _n_contexts, enumerate_delta,
+                        enumerate_fu, enumerate_n)
 from .embedding_counts import EXACT, UPPER_BOUND, build_query, scrJ
-from .integers import factorize, hilbert_symbol, is_prime, padic_val
+from .integers import factorize, is_prime, padic_val
+# unused here; perfbench/test_perfbench.py reads intersection.hilbert_symbol
+from .integers import hilbert_symbol  # noqa: F401
 from .local_roots import frakI
 from .quadratic_orders import count_all_ideals, discriminant_of, rho_simplified
 
@@ -125,49 +127,21 @@ def intersection_number(field: CMFieldData, ell: int) -> IntersectionReport:
 def enumerate_candidate_primes(field: CMFieldData, max_prime: int | None = None):
     """Primes ell that pass the symbol screen, with their witnesses.
 
-    A witness is a pair (delta, n) with N = (delta^2 Dtilde - n^2)/(4D) a
-    positive multiple of ell and (d_u(n), -N)_p = 1 at every finite prime
-    p != ell; the product formula then forces -1 at ell itself, since the
-    symbol at the archimedean place is -1.  Searching divisors of 2 d_u N
-    suffices.  `max_prime` truncates the factor search (the full
-    enumeration is bounded by max delta^2 Dtilde / 4D anyway).
+    A witness is a branch (delta, n) with N = (delta^2 Dtilde - n^2)/(4D)
+    a positive multiple of ell whose symbol support (the finite primes p
+    with (d_u, -N)_p = -1, see `NContext`) is exactly {ell}.  Every other
+    branch vanishes at ell, and a branch witnesses at most one prime.
+    Witnesses are listed in branch order; `max_prime` drops larger primes.
     """
     found: dict[int, list[tuple[int, int]]] = {}
     for dctx in enumerate_delta(field):
-        for nctx in enumerate_n_all(field, dctx):
-            if max_prime is None:
-                ells = nctx_prime_divisors(nctx.N)
-            else:
-                ells = [p for p in _primes_up_to(max_prime) if nctx.N % p == 0]
-            for ell in ells:
-                if _witness_symbols_hold(nctx, ell):
-                    found.setdefault(ell, []).append((dctx.delta, nctx.n))
+        for nctx in _n_contexts(field, dctx):
+            if len(nctx.support) != 1:
+                continue
+            ell = nctx.support[0]
+            if nctx.N % ell == 0 and (max_prime is None or ell <= max_prime):
+                found.setdefault(ell, []).append((dctx.delta, nctx.n))
     return tuple(sorted((ell, tuple(ws)) for ell, ws in found.items()))
-
-
-def enumerate_n_all(field: CMFieldData, dctx):
-    """Admissible n with positive integral N, no divisibility constraint."""
-    from .cm_fields import _n_contexts
-    return _n_contexts(field, dctx)
-
-
-def nctx_prime_divisors(N: int):
-    return list(factorize(N).primes())
-
-
-def _primes_up_to(bound: int):
-    return [p for p in range(2, bound + 1) if is_prime(p)]
-
-
-def _witness_symbols_hold(nctx: NContext, ell: int) -> bool:
-    primes = {2}
-    primes.update(factorize(nctx.d_u).primes())
-    primes.update(factorize(nctx.N).primes())
-    for p in primes:
-        if p != ell and hilbert_symbol(nctx.d_u, -nctx.N, p) == -1:
-            return False
-    # product over all places is 1 and the archimedean symbol is -1
-    return hilbert_symbol(nctx.d_u, -nctx.N, ell) == -1
 
 
 def special_case_value(field: CMFieldData, ell: int):

@@ -95,6 +95,30 @@ def test_batch_mode(tmp_path):
     assert json.loads(lines[1])["value"] == [8, 1]
 
 
+def test_batch_continues_past_bad_record(tmp_path):
+    batch = tmp_path / "fields.json"
+    batch.write_text(json.dumps([
+        {"D": 5, "alpha": [0, 1], "beta": [1, 1]},
+        {"D": 4, "alpha": [0, 1], "beta": [1, 1]},
+        {"D": 8, "alpha": [-3, -1], "beta": [2, 3]},
+    ]))
+    code, text = _run(["intersect", "--batch", str(batch), "--ell", "2"])
+    assert code == EXIT_INPUT_ERROR
+    lines = text.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == _run(["intersect", "--field", WORKED, "--ell", "2"])[1].strip()
+    assert json.loads(lines[1]) == {
+        "error": "D = 4 is not a valid non-square discriminant",
+        "exit": EXIT_INPUT_ERROR, "record": 1}
+    assert json.loads(lines[2])["value"] == [8, 1]
+    code, text = _run(["intersect", "--batch", str(batch), "--ell", "2",
+                       "--format", "table"])
+    assert code == EXIT_INPUT_ERROR
+    lines = text.splitlines()
+    assert lines[1] == "error: record 1: D = 4 is not a valid non-square discriminant"
+    assert lines[2].startswith("intersect ell=2: value = 8/1")
+
+
 def test_index_bound_flag_and_violation():
     code, text = _run(["intersect", "--field", WORKED, "--ell", "2",
                        "--index-bound", "3"])
@@ -121,6 +145,18 @@ def test_input_errors():
     assert code == EXIT_INPUT_ERROR
     code, _ = _run(["intersect", "--field", '{"D":5}', "--ell", "2"])
     assert code == EXIT_INPUT_ERROR
+
+
+def test_field_values_must_be_json_integers():
+    for bad in ('{"D":5.9,"alpha":[0,1.7],"beta":[1,true]}',
+                '{"D":5.0,"alpha":[0,1],"beta":[1,1]}',
+                '{"D":5,"alpha":[0,1],"beta":[1,true]}',
+                '{"D":"5","alpha":[0,1],"beta":[1,1]}',
+                '{"D":5,"alpha":[0,1],"beta":[1,1],"index_bound":"1"}',
+                '{"D":5,"alpha":[0,1,0],"beta":[1,1]}',
+                '{"D":5,"alpha":[0,1],"beta":[1]}'):
+        code, text = _run(["intersect", "--field", bad, "--ell", "2"])
+        assert (code, text) == (EXIT_INPUT_ERROR, ""), bad
 
 
 def test_field_from_file(tmp_path):

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 from dataclasses import replace
@@ -6,9 +7,14 @@ from fractions import Fraction
 import pytest
 
 from cmintersect import (BadRealDiscriminant, CMFieldData, CMFieldParams,
-                         NotPrimitive, NotTotallyImaginary,
-                         congruence_constant, enumerate_delta, enumerate_fu,
-                         enumerate_n, perfect_square_root, t_pair, validate)
+                         IntegralityViolation, NotPrimitive,
+                         NotTotallyImaginary, congruence_constant,
+                         enumerate_delta, enumerate_fu, enumerate_n,
+                         factorize, hilbert_symbol, perfect_square_root,
+                         t_pair, validate)
+from cmintersect import cm_fields
+from cmintersect.cm_fields import _n_contexts
+from cmintersect.cli import EXIT_INTERNAL_INVARIANT, main
 
 WORKED = CMFieldParams(5, 0, 1, 1, 1)
 
@@ -80,6 +86,7 @@ def test_enumerate_n_worked_example():
     ctx = contexts[0]
     assert (ctx.n, ctx.N, ctx.n_u, ctx.d_u, ctx.n_x, ctx.d_x, ctx.t_xuv) \
         == (-1, 2, 1, -3, 2, -4, 0)
+    assert ctx.support == (2,)
     assert enumerate_n(field, dctx, 3) == ()
     assert enumerate_n(field, dctx, 41) == ()
 
@@ -114,6 +121,38 @@ def test_ncontext_invariants_on_fuzz():
                     assert (ctx.n + field.cK * dctx.delta) % (2 * field.params.D) == 0
                     branches += 1
     assert branches > 50
+
+
+def test_support_is_direct_symbol_evaluation(corpus):
+    branches = 0
+    for field in corpus:
+        for dctx in enumerate_delta(field):
+            for ctx in _n_contexts(field, dctx):
+                primes = factorize(2 * ctx.d_u * ctx.N).primes()
+                direct = tuple(p for p in primes
+                               if hilbert_symbol(ctx.d_u, -ctx.N, p) == -1)
+                assert ctx.support == direct, (field.params, ctx.n)
+                assert len(ctx.support) % 2 == 1
+                branches += 1
+    assert branches > 1000
+
+
+def test_even_support_breaks_product_formula(monkeypatch):
+    # a symbol flipped at p = 2 makes every support even in size
+    real = cm_fields.hilbert_symbol
+    monkeypatch.setattr(cm_fields, "hilbert_symbol",
+                        lambda a, b, p: -real(a, b, p) if p == 2 else real(a, b, p))
+    _n_contexts.cache_clear()
+    try:
+        field = validate(WORKED)
+        with pytest.raises(IntegralityViolation, match="product formula"):
+            enumerate_n(field, enumerate_delta(field)[0], 2)
+        out = io.StringIO()
+        argv = ["intersect", "--field", '{"D":5,"alpha":[0,1],"beta":[1,1]}', "--ell", "2"]
+        assert main(argv, out=out) == EXIT_INTERNAL_INVARIANT
+        assert out.getvalue() == ""
+    finally:
+        _n_contexts.cache_clear()
 
 
 def test_enumerate_fu_examples():

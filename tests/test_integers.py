@@ -43,6 +43,16 @@ def test_factorize_round_trip():
         assert all(e >= 1 for _, e in fact.factors)
 
 
+def test_strong_pseudoprime_to_bases_up_to_37():
+    # the least strong pseudoprime to the prime bases 2..37 (Sorenson and
+    # Webster, Math. Comp. 2017), below the bound is_prime states
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+    assert factorize(n) == Factorization(1, ((399165290221, 1), (798330580441, 1)))
+    assert is_prime(399165290221) and is_prime(798330580441)
+
+
 def test_perfect_square_root():
     assert perfect_square_root(49) == 7
     assert perfect_square_root(8) is None

@@ -5,8 +5,10 @@ import pytest
 
 from cmintersect import (EXACT, UPPER_BOUND, CMFieldParams,
                          IndexHypothesisViolated, enumerate_candidate_primes,
-                         enumerate_delta, enumerate_n, intersection_number,
-                         is_prime, mu_ell, special_case_value, validate)
+                         enumerate_delta, enumerate_n, factorize,
+                         hilbert_symbol, intersection_number, is_prime,
+                         mu_ell, special_case_value, validate)
+from cmintersect.cm_fields import _n_contexts
 from cmintersect.intersection import MODE_INDEX_BOUND, MODE_MONOGENIC
 
 WORKED = validate(CMFieldParams(5, 0, 1, 1, 1))
@@ -100,6 +102,34 @@ def test_report_value_shape(corpus):
 def test_candidate_primes_worked_example():
     cands = enumerate_candidate_primes(WORKED)
     assert cands == ((2, ((1, -1),)),)
+
+
+def _candidate_primes_bruteforce(field, max_prime=None):
+    # witness test evaluated per ell, every symbol computed directly: ell | N,
+    # (d_u, -N)_p = 1 at the other primes of 2 d_u N and -1 at ell
+    found = {}
+    for dctx in enumerate_delta(field):
+        for ctx in _n_contexts(field, dctx):
+            primes = {2, *factorize(ctx.d_u).primes(), *factorize(ctx.N).primes()}
+            for ell in factorize(ctx.N).primes():
+                if max_prime is not None and ell > max_prime:
+                    continue
+                if hilbert_symbol(ctx.d_u, -ctx.N, ell) == 1:
+                    continue
+                if all(hilbert_symbol(ctx.d_u, -ctx.N, p) == 1
+                       for p in primes if p != ell):
+                    found.setdefault(ell, []).append((dctx.delta, ctx.n))
+    return tuple(sorted((ell, tuple(ws)) for ell, ws in found.items()))
+
+
+def test_candidate_primes_match_bruteforce(corpus):
+    witnessed = 0
+    for field in corpus:
+        for max_prime in (None, 50):
+            cands = enumerate_candidate_primes(field, max_prime=max_prime)
+            assert cands == _candidate_primes_bruteforce(field, max_prime), field.params
+            witnessed += len(cands)
+    assert witnessed > 100
 
 
 def test_candidate_primes_divide_a_norm():
