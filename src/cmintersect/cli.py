@@ -48,7 +48,7 @@ def _load_field_records(args) -> list[dict]:
     if not args.field:
         raise ValueError("missing --field (or --batch)")
     doc = args.field
-    text = doc if doc.lstrip().startswith("{") else Path(doc).read_text()
+    text = doc if doc.lstrip().startswith(("{", "[")) else Path(doc).read_text()
     record = json.loads(text)
     if not isinstance(record, dict):
         raise ValueError("field document must be a JSON object")

@@ -73,10 +73,14 @@ def vanishing_test(q: ScrJQuery) -> bool:
     branch's symbol support, so the test reads that.  The second
     expression of the same symbol, with the pairing value t, is evaluated
     at every prime p != ell dividing 2 d_u D N and must agree with the
-    support.
+    support.  Its second argument ((d_u/f_u^2) d_x - 2t)^2 - (d_u/f_u^2) d_x
+    is taken times f_u^4, a square, which makes it an integer.
     """
-    d1f = Fraction(q.d_u, q.f_u**2)
-    arg2 = (d1f * q.d2 - 2 * q.t) ** 2 - d1f * q.d2
+    f2 = q.f_u**2
+    dd = q.d_u * q.d2
+    # t = m / (2 f_u^2) for an integer m (t_pair), so 2 t f_u^2 is exact
+    num = 2 * f2 * q.t.numerator // q.t.denominator
+    arg2 = (dd - num) ** 2 - dd * f2
     primes = {2, *factorize(q.d_u).primes(), *factorize(q.D).primes(),
               *factorize(q.N).primes()}
     for p in sorted(primes):

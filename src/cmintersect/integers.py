@@ -4,7 +4,9 @@ Everything here is exact.  Hilbert symbols are provided twice: a closed
 form built on the standard local formulas, and a brute-force solvability
 oracle that decides the symbol by enumerating primitive solutions of
 z^2 = a x^2 + b y^2 modulo a prime power.  The oracle is the arbiter in
-the test suite.
+the test suite.  The closed form runs on integers only: a Fraction a/c
+enters as a*c, which lies in the same square class, and the power of p
+and the unit residues are read off with integer arithmetic.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 INFINITY = float("inf")
 
@@ -85,6 +88,19 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
+def _primes_below(n: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    return tuple(compress(range(n), sieve))
+
+
+# factorize's trial divisors: the 1,229 primes below 10^4
+_TRIAL_PRIMES = _primes_below(10_000)
+
+
 def _pollard_brent(n: int) -> int:
     # Brent's cycle variant; n odd composite, not a prime power guard needed
     if n % 2 == 0:
@@ -121,15 +137,16 @@ def _pollard_brent(n: int) -> int:
 def factorize(n: int) -> Factorization:
     """Complete prime factorization of n != 0, deterministic.
 
-    Trial division up to 10^4, then Brent-Pollard rho on the remaining
-    cofactors; comfortably fast for |n| <= 10^12 and usable well beyond.
+    Trial division by the primes below 10^4, then Brent-Pollard rho on
+    the remaining cofactors; comfortably fast for |n| <= 10^12 and usable
+    well beyond.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
     n = abs(n)
     found: dict[int, int] = {}
-    for p in range(2, 10_000):
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
@@ -187,40 +204,55 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _unit_mod(x: Fraction, p: int, modulus: int) -> int:
-    # x is a p-adic unit; its residue mod `modulus` (a power of p)
-    num, den = x.numerator, x.denominator
-    return num * pow(den, -1, modulus) % modulus
+@lru_cache(maxsize=256)
+def _is_prime_place(p: int) -> bool:
+    # places repeat across the symbols of a branch and of a field
+    return is_prime(p)
+
+
+def _square_class_int(x) -> int:
+    # an integer in the square class of x: a/c -> a*c = (a/c) * c^2
+    if type(x) is not int:
+        x = Fraction(x)
+        x = x.numerator * x.denominator
+    return x
 
 
 def hilbert_symbol(a, b, place) -> int:
     """Hilbert symbol (a, b)_v over the completion at v.
 
-    v is a prime or INFINITY.  a, b may be ints or Fractions, both nonzero.
+    v is a prime int or INFINITY.  a, b may be ints or Fractions, both
+    nonzero; a Fraction a/c is evaluated as the integer a*c.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _square_class_int(a), _square_class_int(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
-    if place == INFINITY:
-        return -1 if (a < 0 and b < 0) else 1
+    if type(place) is not int:
+        if place == INFINITY:
+            return -1 if (a < 0 and b < 0) else 1
+        raise ValueError(f"{place!r} is not a prime or INFINITY")
     p = place
-    if not is_prime(p):
+    if not _is_prime_place(p):
         raise ValueError(f"{p} is not a prime or INFINITY")
-    alpha = val_ext(a, p)
-    beta = val_ext(b, p)
+    alpha = 0
+    while a % p == 0:
+        a //= p
+        alpha += 1
+    beta = 0
+    while b % p == 0:
+        b //= p
+        beta += 1
     if p == 2:
-        u = _unit_mod(a / Fraction(2) ** alpha, 2, 8)
-        v = _unit_mod(b / Fraction(2) ** beta, 2, 8)
-        eps_u = (u - 1) // 2 % 2
-        eps_v = (v - 1) // 2 % 2
-        om_u = (u * u - 1) // 8 % 2
-        om_v = (v * v - 1) // 8 % 2
-        exp = eps_u * eps_v + alpha * om_v + beta * om_u
+        u, v = a % 8, b % 8
+        # eps(x) = (x - 1)/2 is odd for x = 3, 7 mod 8 and
+        # omega(x) = (x^2 - 1)/8 is odd for x = 3, 5 mod 8
+        exp = (u >> 1) * (v >> 1) + alpha * (v in (3, 5)) + beta * (u in (3, 5))
         return -1 if exp % 2 else 1
-    u = _unit_mod(a / Fraction(p) ** alpha, p, p)
-    v = _unit_mod(b / Fraction(p) ** beta, p, p)
-    exp = alpha * beta * ((p - 1) // 2)
-    sym = (-1) ** (exp % 2) * kronecker(u, p) ** (beta % 2) * kronecker(v, p) ** (alpha % 2)
+    sym = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
+    if beta % 2:
+        sym *= kronecker(a, p)
+    if alpha % 2:
+        sym *= kronecker(b, p)
     return sym
 
 

@@ -147,6 +147,15 @@ def test_input_errors():
     assert code == EXIT_INPUT_ERROR
 
 
+def test_inline_json_array_is_not_a_path(capsys):
+    # a --field value starting with [ is inline JSON, like one starting with {
+    for doc in ("[1]", " []"):
+        code, text = _run(["intersect", "--field", doc, "--ell", "2"])
+        assert (code, text) == (EXIT_INPUT_ERROR, "")
+        assert capsys.readouterr().err == (
+            "input error: field document must be a JSON object\n")
+
+
 def test_field_values_must_be_json_integers():
     for bad in ('{"D":5.9,"alpha":[0,1.7],"beta":[1,true]}',
                 '{"D":5.0,"alpha":[0,1],"beta":[1,1]}',

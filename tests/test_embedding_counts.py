@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -73,7 +74,10 @@ def test_upper_bound_branch_components():
     assert result.exactness == UPPER_BOUND
     # N/f_u^2 shares a factor with the conductor of d1
     assert q.d1.f > 1
-    assert Fraction(q.N, q.f_u**2).denominator == 1 or True
+    ratio = Fraction(q.N, q.f_u**2)
+    assert ratio.denominator == 1
+    assert gcd(int(ratio), q.d1.f) > 1
+    assert (int(ratio), q.d1.f) == (20, 2)
     # the reported value is exactly the bound formula, oracle-backed
     target = q.norm_target()
     ideal_count = (count_ideals_bruteforce(q.d1, int(target))

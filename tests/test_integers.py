@@ -2,10 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmintersect import (INFINITY, Factorization, factorize, hilbert_symbol,
                          hilbert_symbol_oracle, is_prime, kronecker,
                          padic_val, perfect_square_root)
+from cmintersect.integers import _TRIAL_PRIMES
+
+NONZERO = st.integers(-10**6, 10**6).filter(bool)
+ORACLE_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
+PROPERTY = settings(max_examples=200, deadline=None, database=None)
 
 
 def test_padic_val_examples():
@@ -33,6 +40,9 @@ def test_factorize_round_trip():
     rng = random.Random(1)
     values = [rng.randint(-10**12, 10**12) for _ in range(80)]
     values += [2**40, -3**25, 10**12 - 1, 999999999989]
+    # around the end of the trial table: 9973 is its last prime, 10007 the
+    # first prime past it; then two primes above 10^6
+    values += [9973**2, 9973 * 10007, -10007**2, 1000003 * 1000033]
     for n in values:
         if n == 0:
             continue
@@ -41,6 +51,11 @@ def test_factorize_round_trip():
         assert all(is_prime(p) for p in fact.primes())
         assert list(fact.primes()) == sorted(fact.primes())
         assert all(e >= 1 for _, e in fact.factors)
+
+
+def test_trial_prime_table():
+    assert list(_TRIAL_PRIMES) == [p for p in range(10_000) if is_prime(p)]
+    assert len(_TRIAL_PRIMES) == 1229
 
 
 def test_strong_pseudoprime_to_bases_up_to_37():
@@ -86,8 +101,39 @@ def test_hilbert_symbol_examples():
     assert hilbert_symbol(-1, -1, INFINITY) == -1
     assert hilbert_symbol(-1, -1, 2) == -1
     assert hilbert_symbol_oracle(-1, -1, 2) == -1
-    with pytest.raises(ValueError):
-        hilbert_symbol(0, 3, 2)
+    # only an int prime or INFINITY is a place: 2.0, True and Fraction(2)
+    # compare equal to ints but are not ints
+    for args in [(0, 3, 2), (0, 5, 3), (3, Fraction(0), INFINITY),
+                 (3, 5, 2.0), (3, 5, True), (3, 5, Fraction(2)), (3, 5, 9),
+                 (3, 5, 1), (3, 5, -3)]:
+        with pytest.raises(ValueError):
+            hilbert_symbol(*args)
+
+
+@PROPERTY
+@given(NONZERO, NONZERO, st.integers(0, 3), st.integers(0, 3), ORACLE_PRIMES)
+def test_hilbert_closed_form_matches_oracle_property(u, v, i, j, p):
+    a, b = u * p**i, v * p**j
+    assert hilbert_symbol(a, b, p) == hilbert_symbol_oracle(a, b, p)
+
+
+@PROPERTY
+@given(NONZERO, st.integers(1, 10**6), NONZERO,
+       st.sampled_from([2, 3, 5, 7, 10007, INFINITY]))
+def test_hilbert_fraction_argument_enters_as_product(a, c, b, place):
+    assert hilbert_symbol(Fraction(a, c), b, place) == hilbert_symbol(a * c, b, place)
+    assert hilbert_symbol(b, Fraction(a, c), place) == hilbert_symbol(b, a * c, place)
+
+
+@PROPERTY
+@given(st.integers(-10**12, 10**12).filter(bool),
+       st.integers(-10**12, 10**12).filter(bool))
+def test_hilbert_product_formula_property(a, b):
+    # away from 2ab both arguments are units at odd p and the symbol is 1
+    prod = hilbert_symbol(a, b, INFINITY)
+    for p in factorize(2 * a * b).primes():
+        prod *= hilbert_symbol(a, b, p)
+    assert prod == 1
 
 
 def test_hilbert_square_invariance():
