@@ -28,7 +28,7 @@ for dctx in enumerate_delta(field):
               f"{nctx.n_x}, {nctx.n_w}), (d_u, d_x)=({nctx.d_u}, {nctx.d_x})")
         print(f"    mu = {mu_ell(nctx, ell)}")
         for f_u in enumerate_fu(nctx, ell):
-            query = build_query(nctx, f_u, ell, field)
+            query = build_query(nctx, f_u, ell)
             result = scrJ(query)
             print(f"    f_u={f_u}: t = {t_pair(nctx, f_u)}, local weight "
                   f"{frakI(nctx, f_u, ell)}, pair count {result.value} "

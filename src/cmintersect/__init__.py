@@ -14,9 +14,8 @@ from .cm_fields import (BadRealDiscriminant, CMFieldData, CMFieldParams,
                         congruence_constant, enumerate_delta, enumerate_fu,
                         enumerate_n, t_pair, validate)
 from .embedding_counts import (EXACT, UPPER_BOUND, AmbiguousSelection,
-                               CountResult, ScrJQuery, SymbolMismatch,
-                               build_query, scrJ, scrJ_conjecture,
-                               vanishing_test)
+                               CountResult, ScrJQuery, build_query, scrJ,
+                               scrJ_conjecture, vanishing_test)
 from .integers import (INFINITY, Factorization, factorize, hilbert_symbol,
                        hilbert_symbol_oracle, is_prime, kronecker, padic_val,
                        perfect_square_root)

@@ -21,8 +21,8 @@ from pathlib import Path
 
 from .cm_fields import (CMFieldParams, FieldValidationError,
                         IntegralityViolation, validate)
-from .embedding_counts import SymbolMismatch
-from .integers import INFINITY, hilbert_symbol, hilbert_symbol_oracle
+from .integers import (INFINITY, factorize, hilbert_symbol,
+                       hilbert_symbol_oracle)
 from .intersection import (IndexHypothesisViolated, enumerate_candidate_primes,
                            intersection_number, special_case_value)
 
@@ -194,7 +194,6 @@ def _selftest_suites() -> list[dict]:
     for _ in range(60):
         a = rng.randint(-400, 400) or 1
         b = rng.randint(-400, 400) or 1
-        from .integers import factorize
         prod = hilbert_symbol(a, b, INFINITY)
         for p in {2} | set(factorize(a).primes()) | set(factorize(b).primes()):
             prod *= hilbert_symbol(a, b, p)
@@ -305,7 +304,7 @@ def main(argv=None, out=sys.stdout) -> int:
                 payload = _run_special(field_data, args.ell)
         except IndexHypothesisViolated as exc:
             code, label, msg = EXIT_HYPOTHESIS_VIOLATED, "hypothesis violated", str(exc)
-        except (SymbolMismatch, IntegralityViolation) as exc:
+        except IntegralityViolation as exc:
             code, label, msg = EXIT_INTERNAL_INVARIANT, "internal invariant failure", str(exc)
         except (FieldValidationError, ValueError) as exc:
             code, label, msg = EXIT_INPUT_ERROR, "input error", str(exc)

@@ -209,16 +209,13 @@ def enumerate_n(field: CMFieldData, dctx: DeltaContext, ell: int) -> tuple[NCont
 
 
 def enumerate_fu(nctx: NContext, ell: int) -> tuple[int, ...]:
-    """Positive f_u with d_u/f_u^2 a discriminant whose order is maximal at ell."""
-    d_u = nctx.d_u
-    out = []
-    f = 1
-    while f * f <= -d_u:
-        if d_u % (f * f) == 0 and (d_u // (f * f)) % 4 in (0, 1):
-            if discriminant_of(d_u // (f * f)).f % ell:
-                out.append(f)
-        f += 1
-    return tuple(out)
+    """Positive f_u with d_u/f_u^2 a discriminant whose order is maximal at ell.
+
+    With F the conductor of d_u, d_u/f^2 is a discriminant exactly when
+    f | F, and its conductor is then F/f.
+    """
+    F = discriminant_of(nctx.d_u).f
+    return tuple(f for f in range(1, F + 1) if F % f == 0 and (F // f) % ell)
 
 
 def t_pair(nctx: NContext, f_u: int) -> Fraction:

@@ -49,11 +49,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=256)
+def _is_prime_place(p: int) -> bool:
+    # places and valuation primes repeat across the branches of a field
+    return is_prime(p)
+
+
 def padic_val(n: int, p: int) -> int:
     """Largest e with p^e | n.  Rejects n = 0."""
     if n == 0:
         raise ValueError("0 has no finite p-adic valuation")
-    if p < 2 or not is_prime(p):
+    if not _is_prime_place(p):
         raise ValueError(f"{p} is not prime")
     e = 0
     while n % p == 0:
@@ -204,10 +210,14 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@lru_cache(maxsize=256)
-def _is_prime_place(p: int) -> bool:
-    # places repeat across the symbols of a branch and of a field
-    return is_prime(p)
+def _is_finite_place(place) -> bool:
+    """True for an int prime, False for INFINITY; ValueError for anything else."""
+    if type(place) is not int:
+        if place == INFINITY:
+            return False
+    elif _is_prime_place(place):
+        return True
+    raise ValueError(f"{place!r} is not a prime or INFINITY")
 
 
 def _square_class_int(x) -> int:
@@ -227,13 +237,9 @@ def hilbert_symbol(a, b, place) -> int:
     a, b = _square_class_int(a), _square_class_int(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
-    if type(place) is not int:
-        if place == INFINITY:
-            return -1 if (a < 0 and b < 0) else 1
-        raise ValueError(f"{place!r} is not a prime or INFINITY")
+    if not _is_finite_place(place):
+        return -1 if (a < 0 and b < 0) else 1
     p = place
-    if not _is_prime_place(p):
-        raise ValueError(f"{p} is not a prime or INFINITY")
     alpha = 0
     while a % p == 0:
         a //= p
@@ -266,12 +272,13 @@ def hilbert_symbol_oracle(a, b, place, k: int | None = None) -> int:
 
     Works modulo p^k (default k = 3 for odd p, k = 6 for p = 2), which
     decides the symbol when v_p(a), v_p(b) <= 1 after clearing square
-    factors.  Intended for small p; this is the test arbiter.
+    factors.  Intended for small p; this is the test arbiter.  The place
+    must be an int prime or INFINITY, as for `hilbert_symbol`.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
-    if place == INFINITY:
+    if not _is_finite_place(place):
         return -1 if (a < 0 and b < 0) else 1
     p = place
     if k is None:

@@ -90,7 +90,7 @@ def intersection_number(field: CMFieldData, ell: int) -> IntersectionReport:
             mu = mu_ell(nctx, ell)
             for f_u in enumerate_fu(nctx, ell):
                 weight = frakI(nctx, f_u, ell)
-                query = build_query(nctx, f_u, ell, field)
+                query = build_query(nctx, f_u, ell)
                 if query.t.denominator != 1:
                     warnings.append(
                         f"non-integral pairing value t at "
@@ -161,13 +161,13 @@ def special_case_value(field: CMFieldData, ell: int):
     branches = []
     for dctx in deltas:
         for nctx in enumerate_n(field, dctx, ell):
-            if discriminant_of(nctx.d_u).f != 1:
+            disc = discriminant_of(nctx.d_u)
+            if disc.f != 1:
                 return None
-            branches.append((dctx, nctx))
+            branches.append((dctx, nctx, disc))
     total = Fraction(0)
-    for dctx, nctx in branches:
+    for dctx, nctx, disc in branches:
         c_delta = Fraction(1, 2) if 4 * dctx.delta == field.params.D else Fraction(1)
-        disc = discriminant_of(nctx.d_u)
         rho = rho_simplified(disc, nctx.N, ell)
         ideal_count = count_all_ideals(disc, nctx.N // ell) if nctx.N // ell >= 1 else 0
         total += c_delta * mu_ell(nctx, ell) * rho * ideal_count

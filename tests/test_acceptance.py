@@ -194,7 +194,7 @@ def test_criterion_7_cross_formula_agreement(corpus):
     for field in corpus:
         for ell in (2, 3, 5):
             for dctx, nctx, f_u in _all_branches(field, ell):
-                q = build_query(nctx, f_u, ell, field)
+                q = build_query(nctx, f_u, ell)
                 result = scrJ(q)
                 conj = scrJ_conjecture(q)
                 if conj is None or result.exactness != EXACT:

@@ -9,9 +9,9 @@ import pytest
 from cmintersect import (BadRealDiscriminant, CMFieldData, CMFieldParams,
                          IntegralityViolation, NotPrimitive,
                          NotTotallyImaginary, congruence_constant,
-                         enumerate_delta, enumerate_fu, enumerate_n,
-                         factorize, hilbert_symbol, perfect_square_root,
-                         t_pair, validate)
+                         discriminant_of, enumerate_delta, enumerate_fu,
+                         enumerate_n, factorize, hilbert_symbol,
+                         perfect_square_root, t_pair, validate)
 from cmintersect import cm_fields
 from cmintersect.cm_fields import _n_contexts
 from cmintersect.cli import EXIT_INTERNAL_INVARIANT, main
@@ -168,6 +168,30 @@ def test_enumerate_fu_examples():
     assert enumerate_fu(synthetic, 5) == (1, 2, 3, 6)
     assert enumerate_fu(synthetic, 2) == (2, 6)
     assert enumerate_fu(synthetic, 3) == (3, 6)
+
+
+def _square_divisor_scan(d_u, ell):
+    # every f with f^2 | d_u, d_u/f^2 = 0, 1 mod 4 and conductor prime to ell
+    out = []
+    f = 1
+    while f * f <= -d_u:
+        if d_u % (f * f) == 0 and (d_u // (f * f)) % 4 in (0, 1):
+            if discriminant_of(d_u // (f * f)).f % ell:
+                out.append(f)
+        f += 1
+    return tuple(out)
+
+
+def test_enumerate_fu_matches_square_divisor_scan(corpus):
+    branches = 0
+    for field in corpus:
+        for dctx in enumerate_delta(field):
+            for ctx in _n_contexts(field, dctx):
+                for ell in (2, 3, 5, 7):
+                    assert enumerate_fu(ctx, ell) == _square_divisor_scan(ctx.d_u, ell), \
+                        (field.params, ctx.n, ell)
+                branches += 1
+    assert branches > 1000
 
 
 def test_t_pair_worked_example():

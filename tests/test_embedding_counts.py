@@ -19,7 +19,7 @@ def _branch(field, ell, delta, n, f_u):
         for nctx in enumerate_n(field, dctx, ell):
             if nctx.n == n:
                 assert f_u in enumerate_fu(nctx, ell)
-                return build_query(nctx, f_u, ell, field)
+                return build_query(nctx, f_u, ell)
     raise AssertionError("branch not found")
 
 
@@ -94,7 +94,7 @@ def test_scrj_zero_when_vanishing_always(corpus):
             for dctx in enumerate_delta(field):
                 for nctx in enumerate_n(field, dctx, ell):
                     for f_u in enumerate_fu(nctx, ell):
-                        q = build_query(nctx, f_u, ell, field)
+                        q = build_query(nctx, f_u, ell)
                         if vanishing_test(q):
                             seen_vanishing += 1
                             assert scrJ(q).value == 0
@@ -109,7 +109,7 @@ def test_conjecture_agreement_on_applicable_branches(corpus):
             for dctx in enumerate_delta(field):
                 for nctx in enumerate_n(field, dctx, ell):
                     for f_u in enumerate_fu(nctx, ell):
-                        q = build_query(nctx, f_u, ell, field)
+                        q = build_query(nctx, f_u, ell)
                         result = scrJ(q)
                         conj = scrJ_conjecture(q)
                         if conj is None or result.exactness != EXACT:
@@ -128,7 +128,7 @@ def test_build_query_rejects_inadmissible_fu():
     dctx = enumerate_delta(WORKED)[0]
     nctx = enumerate_n(WORKED, dctx, 2)[0]
     with pytest.raises(ValueError):
-        build_query(nctx, 3, 2, WORKED)
+        build_query(nctx, 3, 2)
 
 
 def test_two_power_times_rho2_simplification(corpus):
@@ -144,7 +144,7 @@ def test_two_power_times_rho2_simplification(corpus):
             for dctx in enumerate_delta(field):
                 for nctx in enumerate_n(field, dctx, ell):
                     for f_u in enumerate_fu(nctx, ell):
-                        q = build_query(nctx, f_u, ell, field)
+                        q = build_query(nctx, f_u, ell)
                         m = Fraction(q.N, f_u**2)
                         if m.denominator != 1 or gcd(int(m), q.d1.f) != 1:
                             continue

@@ -108,6 +108,9 @@ def test_hilbert_symbol_examples():
                  (3, 5, 1), (3, 5, -3)]:
         with pytest.raises(ValueError):
             hilbert_symbol(*args)
+    for place in (2.0, True, Fraction(2), 9, 1, -3):
+        with pytest.raises(ValueError):
+            hilbert_symbol_oracle(3, 5, place)
 
 
 @PROPERTY
@@ -123,6 +126,16 @@ def test_hilbert_closed_form_matches_oracle_property(u, v, i, j, p):
 def test_hilbert_fraction_argument_enters_as_product(a, c, b, place):
     assert hilbert_symbol(Fraction(a, c), b, place) == hilbert_symbol(a * c, b, place)
     assert hilbert_symbol(b, Fraction(a, c), place) == hilbert_symbol(b, a * c, place)
+
+
+@PROPERTY
+@given(NONZERO, NONZERO, NONZERO, st.integers(0, 2),
+       st.sampled_from([2, 3, 5, 7, 10007, INFINITY]))
+def test_hilbert_square_class_invariance_property(a, b, u, k, place):
+    # s = u p^k may be divisible by the place p: only the square class counts
+    s = u * (place**k if place != INFINITY else 1)
+    assert hilbert_symbol(a, b * s * s, place) == hilbert_symbol(a, b, place)
+    assert hilbert_symbol(a * s * s, b, place) == hilbert_symbol(a, b, place)
 
 
 @PROPERTY
