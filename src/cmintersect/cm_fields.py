@@ -12,7 +12,10 @@ Branches of the intersection sum are enumerated in three layers: delta
 (with D - 4*delta a perfect square), then n (a single residue class mod
 2D, both signs, bounded by delta^2 * Dtilde), then the divisor f_u.
 Each (delta, n) branch carries its Hilbert-symbol support, computed once
-and checked against the product formula.
+and checked against the product formula.  The values N and d_u of all
+branches of one delta are factored together by a sieve: N is quadratic
+and d_u linear in the branch index, so the indices a prime divides form
+at most two residue classes (Pomerance's quadratic sieve, EUROCRYPT '84).
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .integers import factorize, hilbert_symbol, is_prime, perfect_square_root
+from .integers import (_TRIAL_PRIMES, _is_prime_place, _sqrt_mod_prime,
+                       _symbol_at_prime, factorize, perfect_square_root)
 from .quadratic_orders import discriminant_of
 
 
@@ -155,6 +159,50 @@ def enumerate_delta(field: CMFieldData) -> tuple[DeltaContext, ...]:
     return tuple(out)
 
 
+def _factor_by_sieve(values: list[int], starts) -> list[list[tuple[int, int]]]:
+    """The (prime, exponent) pairs of each positive values[i], ascending.
+
+    starts(p) gives the residues mod p of the indices i with p | values[i].
+    """
+    m = len(values)
+    limit = min(10_000, math.isqrt(max(values)) + 1)
+    cofactors = list(values)
+    factors = [[] for _ in range(m)]
+    for p in _TRIAL_PRIMES:
+        if p >= limit:
+            break
+        for start in starts(p):
+            for i in range(start, m, p):
+                v, e = cofactors[i] // p, 1
+                while v % p == 0:
+                    v //= p
+                    e += 1
+                cofactors[i] = v
+                factors[i].append((p, e))
+    # no prime below limit is left, so a cofactor below limit^2 is prime
+    for i, c in enumerate(cofactors):
+        if c >= limit * limit:
+            factors[i].extend(factorize(c).factors)
+        elif c > 1:
+            factors[i].append((c, 1))
+    return factors
+
+
+def _support(d_u: int, N: int, du_factors, N_factors) -> tuple[int, ...]:
+    # away from 2 d_u N both arguments are units and the symbol is 1
+    alpha, beta = dict(du_factors), dict(N_factors)
+    out = []
+    for p in sorted({2, *alpha, *beta}):
+        i, j = alpha.get(p, 0), beta.get(p, 0)
+        if _symbol_at_prime(d_u // p**i, i, -N // p**j, j, p) == -1:
+            out.append(p)
+    return tuple(out)
+
+
+# s_p with s_p^2 = Dtilde (mod p): every delta of a field sieves by it
+_sqrt_dtilde_mod_prime = lru_cache(maxsize=4096)(_sqrt_mod_prime)
+
+
 @lru_cache(maxsize=4096)
 def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
     # all n in the admissible residue class with positive integral N,
@@ -164,19 +212,17 @@ def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
     delta, a, sq = dctx.delta, dctx.a, dctx.sq
     b0, b1 = params.beta0, params.beta1
     r = (-cK * delta) % (2 * D)
+    dd = delta * delta * Dt
     # n^2 mod 4D is constant on the class, so integrality of N is too
-    if (delta * delta * Dt - r * r) % (4 * D):
+    if (dd - r * r) % (4 * D):
         return ()
-    out = []
-    bound = math.isqrt(delta * delta * Dt)  # floor(delta * sqrt(Dtilde))
+    bound = math.isqrt(dd - 1)  # largest |n| with n^2 < delta^2 Dtilde
     lo = -((bound + r) // (2 * D))
     hi = (bound - r) // (2 * D)
+    branches = []
     for k in range(lo, hi + 1):
         n = r + 2 * D * k
-        nsq = n * n
-        if nsq >= delta * delta * Dt:
-            continue
-        N = (delta * delta * Dt - nsq) // (4 * D)
+        N = (dd - n * n) // (4 * D)
         step = (n + cK * delta) // (2 * D)
         n_u = -delta * step
         if n_u % delta:
@@ -190,20 +236,47 @@ def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
             raise IntegralityViolation(f"d_u = {d_u} is not negative")
         if (d_x * d_u - (dctx.t_x * dctx.t_u - 2 * t_xuv) ** 2) != 4 * N:
             raise IntegralityViolation("norm identity failed; input inconsistent")
-        # away from 2 d_u N both arguments are units and the symbol is 1
-        primes = {2, *factorize(d_u).primes(), *factorize(N).primes()}
-        support = tuple(sorted(p for p in primes if hilbert_symbol(d_u, -N, p) == -1))
+        branches.append((n, N, n_u, n_x, n_w, t_xuv, d_u, d_x))
+    if not branches:
+        return ()
+    # Sieve k = lo + i.  N(k) and d_u(k) are periodic mod p, so p | N
+    # exactly when (r + 2Dk)^2 = delta^2 Dtilde (mod p), and p | d_u on
+    # one class, d_u(k) = d_u(lo) + 4 delta i; primes dividing 2D delta
+    # Dtilde (4 delta for d_u) are found by testing one period.
+    Ns = [b[1] for b in branches]
+    dus = [b[6] for b in branches]
+
+    def N_starts(p):
+        if (2 * D * delta * Dt) % p == 0:
+            return [i for i in range(min(p, len(Ns))) if Ns[i] % p == 0]
+        s = _sqrt_dtilde_mod_prime(Dt, p)
+        if s is None:
+            return ()
+        inv = pow(2 * D, -1, p)
+        return ((delta * s - r) * inv - lo) % p, ((-delta * s - r) * inv - lo) % p
+
+    def du_starts(p):
+        if (4 * delta) % p == 0:
+            return [i for i in range(min(p, len(dus))) if dus[i] % p == 0]
+        return (-dus[0] * pow(4 * delta, -1, p) % p,)
+
+    N_factors = _factor_by_sieve(Ns, N_starts)
+    du_factors = _factor_by_sieve([-d for d in dus], du_starts)
+    out = []
+    for branch, Nf, df in zip(branches, N_factors, du_factors):
+        n, N, d_u = branch[0], branch[1], branch[6]
+        support = _support(d_u, N, df, Nf)
         if len(support) % 2 == 0:
             raise IntegralityViolation(
                 f"symbol support {support} of (d_u, -N) at (delta={delta}, n={n}) "
                 "has even size; product formula failed")
-        out.append(NContext(dctx, n, N, n_u, n_x, n_w, t_xuv, d_u, d_x, support))
+        out.append(NContext(dctx, *branch, support))
     return tuple(out)
 
 
 def enumerate_n(field: CMFieldData, dctx: DeltaContext, ell: int) -> tuple[NContext, ...]:
     """All n with n = -cK*delta (mod 2D), N positive integral, ell | N."""
-    if not is_prime(ell):
+    if not _is_prime_place(ell):
         raise ValueError(f"{ell} is not prime")
     return tuple(ctx for ctx in _n_contexts(field, dctx) if ctx.N % ell == 0)
 

@@ -210,6 +210,35 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _sqrt_mod_prime(a: int, p: int):
+    """A square root of a mod p (odd prime), or None.  Tonelli-Shanks."""
+    a %= p
+    if a == 0:
+        return 0
+    if kronecker(a, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    # write p - 1 = q * 2^s with q odd
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while kronecker(z, p) != -1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
 def _is_finite_place(place) -> bool:
     """True for an int prime, False for INFINITY; ValueError for anything else."""
     if type(place) is not int:
@@ -226,6 +255,22 @@ def _square_class_int(x) -> int:
         x = Fraction(x)
         x = x.numerator * x.denominator
     return x
+
+
+def _symbol_at_prime(a: int, alpha: int, b: int, beta: int, p: int) -> int:
+    """(a p^alpha, b p^beta)_p for a prime p and p-adic units a, b."""
+    if p == 2:
+        u, v = a % 8, b % 8
+        # eps(x) = (x - 1)/2 is odd for x = 3, 7 mod 8 and
+        # omega(x) = (x^2 - 1)/8 is odd for x = 3, 5 mod 8
+        exp = (u >> 1) * (v >> 1) + alpha * (v in (3, 5)) + beta * (u in (3, 5))
+        return -1 if exp % 2 else 1
+    sym = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
+    if beta % 2:
+        sym *= kronecker(a, p)
+    if alpha % 2:
+        sym *= kronecker(b, p)
+    return sym
 
 
 def hilbert_symbol(a, b, place) -> int:
@@ -248,18 +293,7 @@ def hilbert_symbol(a, b, place) -> int:
     while b % p == 0:
         b //= p
         beta += 1
-    if p == 2:
-        u, v = a % 8, b % 8
-        # eps(x) = (x - 1)/2 is odd for x = 3, 7 mod 8 and
-        # omega(x) = (x^2 - 1)/8 is odd for x = 3, 5 mod 8
-        exp = (u >> 1) * (v >> 1) + alpha * (v in (3, 5)) + beta * (u in (3, 5))
-        return -1 if exp % 2 else 1
-    sym = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
-    if beta % 2:
-        sym *= kronecker(a, p)
-    if alpha % 2:
-        sym *= kronecker(b, p)
-    return sym
+    return _symbol_at_prime(a, alpha, b, beta, p)
 
 
 def _square_residues(p: int, k: int) -> frozenset:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .integers import INFINITY, factorize, is_prime, kronecker, val_ext
+from .integers import INFINITY, _is_prime_place, _sqrt_mod_prime, factorize, val_ext
 
 
 @dataclass(frozen=True)
@@ -21,35 +21,6 @@ class LocalQuery:
     C: int
     a1: int
     a0: int
-
-
-def _sqrt_mod_prime(a: int, p: int):
-    """A square root of a mod p (odd prime), or None.  Tonelli-Shanks."""
-    a %= p
-    if a == 0:
-        return 0
-    if kronecker(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p - 1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while kronecker(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 def _roots_mod_p(p: int, a1: int, a0: int) -> list[int]:
@@ -74,7 +45,7 @@ def count_roots_mod_pk(q: LocalQuery) -> int:
     C < 0 counts nothing; C = 0 counts the single residue class mod 1.
     """
     p, C, a1, a0 = q.p, q.C, q.a1, q.a0
-    if not is_prime(p):
+    if not _is_prime_place(p):
         raise ValueError(f"{p} is not prime")
     return _count(p, C, a1, a0)
 

@@ -5,9 +5,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cmintersect import (BadRealDiscriminant, CMFieldData, CMFieldParams,
-                         IntegralityViolation, NotPrimitive,
+                         FieldValidationError, IntegralityViolation, NotPrimitive,
                          NotTotallyImaginary, congruence_constant,
                          discriminant_of, enumerate_delta, enumerate_fu,
                          enumerate_n, factorize, hilbert_symbol,
@@ -15,6 +17,8 @@ from cmintersect import (BadRealDiscriminant, CMFieldData, CMFieldParams,
 from cmintersect import cm_fields
 from cmintersect.cm_fields import _n_contexts
 from cmintersect.cli import EXIT_INTERNAL_INVARIANT, main
+
+from test_integers import PROPERTY
 
 WORKED = CMFieldParams(5, 0, 1, 1, 1)
 
@@ -137,11 +141,62 @@ def test_support_is_direct_symbol_evaluation(corpus):
     assert branches > 1000
 
 
+def _support_by_factorize(ctx):
+    # the oracle: factor d_u and N one at a time, then the public symbol
+    primes = {2, *factorize(ctx.d_u).primes(), *factorize(ctx.N).primes()}
+    return tuple(sorted(p for p in primes if hilbert_symbol(ctx.d_u, -ctx.N, p) == -1))
+
+
+def test_sieved_support_matches_factorize_oracle(corpus):
+    # E3 of ROADMAP.md: 11,823 branches, N up to 2.6e8
+    fields = [*corpus, validate(CMFieldParams(228, -21, 1, -22, 38))]
+    branches = 0
+    for field in fields:
+        for dctx in enumerate_delta(field):
+            for ctx in _n_contexts(field, dctx):
+                assert ctx.support == _support_by_factorize(ctx), (field.params, ctx.n)
+                branches += 1
+    assert branches == 6060 + 11823
+
+
+# (D, alpha0, alpha1, beta1) with D <= 60 and |coords| <= 8 for which
+# some beta0 in [-8, 8] can make the relative discriminant negative: cK
+# falls as beta0 grows, and validate needs 2 cK + alpha1^2 D < 0.  About
+# 70% of the draws below then validate, against 2% in the whole box.
+SMALL_FIELD_STEMS = tuple(
+    (D, a0, a1, b1)
+    for D in range(2, 61) if D % 4 in (0, 1) and perfect_square_root(D) is None
+    for a0, a1, b1 in itertools.product(range(-8, 9), repeat=3)
+    if 2 * congruence_constant(CMFieldParams(D, a0, a1, 8, b1)) + a1 * a1 * D < 0)
+
+
+@PROPERTY
+@given(st.sampled_from(SMALL_FIELD_STEMS), st.integers(-8, 8))
+def test_sieved_support_property(stem, b0):
+    D, a0, a1, b1 = stem
+    try:
+        field = validate(CMFieldParams(D, a0, a1, b0, b1))
+    except FieldValidationError:
+        return
+    for dctx in enumerate_delta(field):
+        for ctx in _n_contexts(field, dctx):
+            assert ctx.support == _support_by_factorize(ctx), ctx.n
+            assert len(ctx.support) % 2 == 1
+
+
+def test_sieve_hands_large_cofactors_to_factorize():
+    # a cofactor of 10^8 or more may be composite: 10007 * 10009 has no
+    # prime factor below 10^4; a smaller one is prime
+    for v in (10007 * 10009, 12 * 10007 * 10009, 2**5 * 9973**2, 2 * 99_999_989):
+        factors = cm_fields._factor_by_sieve([v], lambda p: (0,) if v % p == 0 else ())
+        assert factors == [list(factorize(v).factors)], v
+
+
 def test_even_support_breaks_product_formula(monkeypatch):
     # a symbol flipped at p = 2 makes every support even in size
-    real = cm_fields.hilbert_symbol
-    monkeypatch.setattr(cm_fields, "hilbert_symbol",
-                        lambda a, b, p: -real(a, b, p) if p == 2 else real(a, b, p))
+    real = cm_fields._symbol_at_prime
+    monkeypatch.setattr(cm_fields, "_symbol_at_prime",
+                        lambda *args: -real(*args) if args[-1] == 2 else real(*args))
     _n_contexts.cache_clear()
     try:
         field = validate(WORKED)

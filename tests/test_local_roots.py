@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from cmintersect import (CMFieldParams, LocalQuery, count_roots_by_enumeration,
                          count_roots_mod_pk, enumerate_delta, enumerate_n,
                          frakI, kronecker, validate)
@@ -12,6 +14,9 @@ def test_count_roots_examples():
     assert count_roots_mod_pk(LocalQuery(3, 0, 4, 9)) == 1
     assert count_roots_mod_pk(LocalQuery(3, 1, 0, 0)) == 1
     assert count_roots_mod_pk(LocalQuery(2, 2, 1, 0)) == 2
+    for p in (9, 1):
+        with pytest.raises(ValueError):
+            count_roots_mod_pk(LocalQuery(p, 1, 0, 0))
 
 
 def test_count_roots_matches_enumeration():
