@@ -14,15 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .cm_fields import (CMFieldParams, FieldValidationError,
                         IntegralityViolation, validate)
-from .integers import (INFINITY, factorize, hilbert_symbol,
-                       hilbert_symbol_oracle)
 from .intersection import (IndexHypothesisViolated, enumerate_candidate_primes,
                            intersection_number, special_case_value)
 
@@ -40,6 +36,7 @@ def _rat(x: Fraction) -> list[int]:
 
 def _load_field_records(args) -> list[dict]:
     if args.batch:
+        from pathlib import Path
         text = Path(args.batch).read_text()
         records = json.loads(text)
         if not isinstance(records, list):
@@ -48,7 +45,11 @@ def _load_field_records(args) -> list[dict]:
     if not args.field:
         raise ValueError("missing --field (or --batch)")
     doc = args.field
-    text = doc if doc.lstrip().startswith(("{", "[")) else Path(doc).read_text()
+    if doc.lstrip().startswith(("{", "[")):
+        text = doc
+    else:
+        from pathlib import Path
+        text = Path(doc).read_text()
     record = json.loads(text)
     if not isinstance(record, dict):
         raise ValueError("field document must be a JSON object")
@@ -160,98 +161,6 @@ def _run_special(field_data, ell: int) -> dict:
     return {"task": "special", "ell": ell, "value": _rat(value), "warnings": []}
 
 
-def _selftest_suites() -> list[dict]:
-    from .local_roots import LocalQuery, count_roots_by_enumeration, count_roots_mod_pk
-    from .matrix_ideals import (companion_matrix, count_right_order_ideals,
-                                enumerate_ideals, is_primitive,
-                                right_order_contains)
-    from .quadratic_orders import (count_ideals_bruteforce,
-                                   count_invertible_ideals, discriminant_of)
-
-    suites = []
-    rng = random.Random(20240 + 1)
-
-    passed = failed = 0
-    for _ in range(200):
-        p = rng.choice([2, 3, 5, 7])
-        q = LocalQuery(p, rng.randint(0, 4), rng.randint(-40, 40), rng.randint(-40, 40))
-        if count_roots_mod_pk(q) == count_roots_by_enumeration(q):
-            passed += 1
-        else:
-            failed += 1
-    suites.append({"name": "local root counts vs enumeration",
-                   "passed": passed, "failed": failed})
-
-    passed = failed = 0
-    pool = [1, -1, 2, -2, 3, -3, 5, 6, -6, 10, 15, -30]
-    for _ in range(60):
-        a, b = rng.choice(pool), rng.choice(pool)
-        p = rng.choice([2, 3, 5])
-        if hilbert_symbol(a, b, p) == hilbert_symbol_oracle(a, b, p):
-            passed += 1
-        else:
-            failed += 1
-    for _ in range(60):
-        a = rng.randint(-400, 400) or 1
-        b = rng.randint(-400, 400) or 1
-        prod = hilbert_symbol(a, b, INFINITY)
-        for p in {2} | set(factorize(a).primes()) | set(factorize(b).primes()):
-            prod *= hilbert_symbol(a, b, p)
-        if prod == 1:
-            passed += 1
-        else:
-            failed += 1
-    suites.append({"name": "hilbert symbols (oracle + product formula)",
-                   "passed": passed, "failed": failed})
-
-    passed = failed = 0
-    valid_discs = [d for d in range(-120, 0) if d % 4 in (0, 1)]
-    for _ in range(120):
-        disc = discriminant_of(rng.choice(valid_discs))
-        M = rng.randint(1, 30)
-        if count_invertible_ideals(disc, M) == count_ideals_bruteforce(disc, M):
-            passed += 1
-        else:
-            failed += 1
-    suites.append({"name": "quadratic-order ideal counts vs HNF oracle",
-                   "passed": passed, "failed": failed})
-
-    passed = failed = 0
-    for _ in range(40):
-        p = rng.choice([2, 3])
-        r = rng.randint(0, 1)
-        N = rng.randint(0, 3)
-        T, Nm = rng.randint(-6, 6), rng.randint(-6, 6)
-        y = companion_matrix(T, Nm, p, r)
-        formula = count_right_order_ideals(p, N, y, r)
-        direct = sum(1 for I in enumerate_ideals(p, N)
-                     if is_primitive(I) and right_order_contains(I, y))
-        if formula == direct:
-            passed += 1
-        else:
-            failed += 1
-    suites.append({"name": "matrix-order right-ideal counts vs filter",
-                   "passed": passed, "failed": failed})
-
-    field = validate(CMFieldParams(5, 0, 1, 1, 1))
-    report = intersection_number(field, 2)
-    ok = report.value == Fraction(1) and len(report.rows) == 1
-    suites.append({"name": "worked end-to-end value",
-                   "passed": int(ok), "failed": int(not ok)})
-    return suites
-
-
-def _run_selftest() -> dict:
-    suites = _selftest_suites()
-    return {
-        "task": "selftest",
-        "suites": suites,
-        "passed": sum(s["passed"] for s in suites),
-        "failed": sum(s["failed"] for s in suites),
-        "warnings": [],
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmintersect",
@@ -277,7 +186,8 @@ def main(argv=None, out=sys.stdout) -> int:
     args = parser.parse_args(argv)
 
     if args.task == "selftest":
-        payload = _run_selftest()
+        from .selftest import run_selftest
+        payload = run_selftest()
         _emit(payload, args.format, out)
         return EXIT_OK if payload["failed"] == 0 else EXIT_SELFTEST_FAILED
 

@@ -21,12 +21,12 @@ at most two residue classes (Pomerance's quadratic sieve, EUROCRYPT '84).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .integers import (_TRIAL_PRIMES, _is_prime_place, _sqrt_mod_prime,
-                       _symbol_at_prime, factorize, perfect_square_root)
+from ._record import Record
+from .integers import (_TRIAL_PRIMES, _factor_rough, _is_prime_place,
+                       _sqrt_mod_prime, _symbol_at_prime, perfect_square_root)
 from .quadratic_orders import discriminant_of
 
 
@@ -54,8 +54,7 @@ class IntegralityViolation(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class CMFieldParams:
+class CMFieldParams(Record):
     D: int
     alpha0: int
     alpha1: int
@@ -64,15 +63,13 @@ class CMFieldParams:
     index_bound: int = 1
 
 
-@dataclass(frozen=True)
-class CMFieldData:
+class CMFieldData(Record):
     params: CMFieldParams
     Dtilde: int
     cK: int
 
 
-@dataclass(frozen=True)
-class DeltaContext:
+class DeltaContext(Record):
     delta: int
     a: int
     sq: int          # sq^2 = D - 4*delta, sq = D - 2a
@@ -82,8 +79,7 @@ class DeltaContext:
     t_w: int
 
 
-@dataclass(frozen=True)
-class NContext:
+class NContext(Record):
     """One (delta, n) branch, independent of ell.
 
     `support` is the sorted tuple of finite primes p with
@@ -182,7 +178,7 @@ def _factor_by_sieve(values: list[int], starts) -> list[list[tuple[int, int]]]:
     # no prime below limit is left, so a cofactor below limit^2 is prime
     for i, c in enumerate(cofactors):
         if c >= limit * limit:
-            factors[i].extend(factorize(c).factors)
+            factors[i].extend(_factor_rough(c))
         elif c > 1:
             factors[i].append((c, 1))
     return factors

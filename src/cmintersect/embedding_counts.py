@@ -11,10 +11,10 @@ bound is never presented as an exact value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 from .cm_fields import NContext, t_pair
 from .integers import factorize, hilbert_symbol, kronecker
 from .quadratic_orders import (QuadDiscriminant, count_invertible_ideals,
@@ -28,14 +28,12 @@ class AmbiguousSelection(ArithmeticError):
     """Neither discriminant is maximal at a prime dividing m."""
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(Record):
     value: int
     exactness: str
 
 
-@dataclass(frozen=True)
-class ScrJQuery:
+class ScrJQuery(Record):
     d1: QuadDiscriminant        # d_u / f_u^2
     d2: int                     # d_x
     t: Fraction

@@ -12,10 +12,11 @@ and the unit residues are read off with integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+
+from ._record import Record
 
 INFINITY = float("inf")
 
@@ -77,8 +78,7 @@ def val_ext(x, p: int):
     return padic_val(x, p)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Sign and ordered (prime, exponent) pairs; recomposes to the input."""
 
     sign: int
@@ -158,6 +158,18 @@ def factorize(n: int) -> Factorization:
         while n % p == 0:
             found[p] = found.get(p, 0) + 1
             n //= p
+    # what trial division leaves has only larger primes, so the two parts
+    # concatenate in ascending order
+    return Factorization(sign, tuple(sorted(found.items())) + _factor_rough(n))
+
+
+def _factor_rough(n: int) -> tuple[tuple[int, int], ...]:
+    """The ascending (prime, exponent) pairs of n >= 1, without trial division.
+
+    For cofactors known to have no small prime factor: a primality test,
+    then Brent-Pollard rho on what is composite.
+    """
+    found: dict[int, int] = {}
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -169,7 +181,7 @@ def factorize(n: int) -> Factorization:
         d = _pollard_brent(m)
         stack.append(d)
         stack.append(m // d)
-    return Factorization(sign, tuple(sorted(found.items())))
+    return tuple(sorted(found.items()))
 
 
 def perfect_square_root(n: int):

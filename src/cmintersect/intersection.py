@@ -10,9 +10,9 @@ exactly when some enumerated delta is divisible by ell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .cm_fields import (CMFieldData, NContext, _n_contexts, enumerate_delta,
                         enumerate_fu, enumerate_n)
 from .embedding_counts import EXACT, UPPER_BOUND, build_query, scrJ
@@ -30,8 +30,7 @@ class IndexHypothesisViolated(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ContributionRow:
+class ContributionRow(Record):
     delta: int
     n: int
     f_u: int
@@ -43,8 +42,7 @@ class ContributionRow:
     product: Fraction
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
+class IntersectionReport(Record):
     value: Fraction            # coefficient of log(ell)
     exactness: str
     mode: str

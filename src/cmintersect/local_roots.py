@@ -9,14 +9,13 @@ for small moduli.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .integers import INFINITY, _is_prime_place, _sqrt_mod_prime, factorize, val_ext
 
 
-@dataclass(frozen=True)
-class LocalQuery:
+class LocalQuery(Record):
     p: int
     C: int
     a1: int

@@ -10,17 +10,16 @@ an *element* is integral when its trace and norm are ordinary integers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .integers import is_prime, val_ext
 from .local_roots import LocalQuery, count_roots_mod_pk
 
 _DESK_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class IdealTriple:
+class IdealTriple(Record):
     p: int
     n: int
     m: int
@@ -35,18 +34,19 @@ class IdealTriple:
         return self.n + self.m
 
 
-@dataclass(frozen=True)
-class PMatrix:
+class PMatrix(Record):
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
-    trace: Fraction = field(init=False)
-    norm: Fraction = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "trace", self.a + self.d)
-        object.__setattr__(self, "norm", self.a * self.d - self.b * self.c)
+    @property
+    def trace(self) -> Fraction:
+        return self.a + self.d
+
+    @property
+    def norm(self) -> Fraction:
+        return self.a * self.d - self.b * self.c
 
     @staticmethod
     def of(a, b, c, d) -> "PMatrix":

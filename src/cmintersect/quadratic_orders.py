@@ -11,15 +11,14 @@ that arbitrates it in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .integers import factorize, hilbert_symbol, is_prime, kronecker, val_ext
 from .local_roots import LocalQuery, count_roots_mod_pk
 
 
-@dataclass(frozen=True)
-class QuadDiscriminant:
+class QuadDiscriminant(Record):
     """d = f^2 * d0 with d0 fundamental, d < 0."""
 
     d: int

@@ -1,7 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import cmintersect
 from cmintersect.cli import (EXIT_HYPOTHESIS_VIOLATED, EXIT_INPUT_ERROR,
                              EXIT_OK, main)
 
@@ -182,3 +187,17 @@ def test_selftest_passes():
     payload = json.loads(text)
     assert payload["failed"] == 0
     assert payload["passed"] > 400
+
+
+def test_cli_import_leaves_out_dataclasses_and_selftest_code():
+    # every CLI process pays for what `import cmintersect.cli` loads; -S keeps
+    # modules that site-packages .pth files import out of the picture
+    package_root = str(Path(cmintersect.__file__).resolve().parent.parent)
+    unwanted = ("dataclasses", "inspect", "cmintersect.matrix_ideals",
+                "cmintersect.selftest")
+    code = ("import cmintersect.cli, sys; "
+            f"print(*[m for m in {unwanted!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=package_root))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -1,7 +1,6 @@
 import io
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cmintersect import (BadRealDiscriminant, CMFieldData, CMFieldParams,
-                         FieldValidationError, IntegralityViolation, NotPrimitive,
-                         NotTotallyImaginary, congruence_constant,
+                         FieldValidationError, IntegralityViolation, NContext,
+                         NotPrimitive, NotTotallyImaginary, congruence_constant,
                          discriminant_of, enumerate_delta, enumerate_fu,
                          enumerate_n, factorize, hilbert_symbol,
                          perfect_square_root, t_pair, validate)
@@ -214,10 +213,10 @@ def test_enumerate_fu_examples():
     field = validate(WORKED)
     ctx = enumerate_n(field, enumerate_delta(field)[0], 2)[0]
     assert enumerate_fu(ctx, 2) == (1,)      # d_u = -3 squarefree
-    synthetic = replace(ctx, d_u=-12)
+    synthetic = NContext(**{**vars(ctx), "d_u": -12})
     assert enumerate_fu(synthetic, 5) == (1, 2)
     assert enumerate_fu(synthetic, 2) == (2,)
-    synthetic = replace(ctx, d_u=-144)
+    synthetic = NContext(**{**vars(ctx), "d_u": -144})
     # f_u^2 | -144 with valid quotient: f_u in {1, 2, 3, 6}; quotients
     # -144, -36, -16, -4 have conductors 6, 3, 2, 1
     assert enumerate_fu(synthetic, 5) == (1, 2, 3, 6)

@@ -1,13 +1,13 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from cmintersect import (EXACT, UPPER_BOUND, CMFieldParams,
-                         IndexHypothesisViolated, enumerate_candidate_primes,
-                         enumerate_delta, enumerate_n, factorize,
-                         hilbert_symbol, intersection_number, is_prime,
-                         mu_ell, special_case_value, validate)
+                         IndexHypothesisViolated, NContext,
+                         enumerate_candidate_primes, enumerate_delta,
+                         enumerate_n, factorize, hilbert_symbol,
+                         intersection_number, is_prime, mu_ell,
+                         special_case_value, validate)
 from cmintersect.cm_fields import _n_contexts
 from cmintersect.intersection import MODE_INDEX_BOUND, MODE_MONOGENIC
 
@@ -21,9 +21,9 @@ def test_mu_worked_example():
 
 def test_mu_branch_cases():
     ctx = enumerate_n(WORKED, enumerate_delta(WORKED)[0], 2)[0]
-    both = replace(ctx, N=8, d_u=-4, d_x=-8)      # v_2(8) = 3, 2 | both
+    both = NContext(**{**vars(ctx), "N": 8, "d_u": -4, "d_x": -8})  # v_2(8) = 3, 2 | both
     assert mu_ell(both, 2) == Fraction(3)
-    one = replace(ctx, N=4, d_u=-3, d_x=-8)       # v_2(4) = 2, 2 misses d_u
+    one = NContext(**{**vars(ctx), "N": 4, "d_u": -3, "d_x": -8})   # v_2(4) = 2, 2 misses d_u
     assert mu_ell(one, 2) == Fraction(3, 2)
 
 

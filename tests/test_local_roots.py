@@ -1,11 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cmintersect import (CMFieldParams, LocalQuery, count_roots_by_enumeration,
                          count_roots_mod_pk, enumerate_delta, enumerate_n,
                          frakI, kronecker, validate)
 from cmintersect.cm_fields import DeltaContext, NContext
+
+from test_integers import PROPERTY
+
+# (p, C) with p^C small enough to enumerate; C = -1 counts nothing
+SMALL_MODULI = [(p, C) for p in (2, 3, 5, 7, 11) for C in range(-1, 13)
+                if p ** max(C, 0) <= 4096]
 
 
 def test_count_roots_examples():
@@ -25,6 +33,14 @@ def test_count_roots_matches_enumeration():
         q = LocalQuery(rng.choice([2, 3, 5, 7]), rng.randint(0, 5),
                        rng.randint(-60, 60), rng.randint(-60, 60))
         assert count_roots_mod_pk(q) == count_roots_by_enumeration(q), q
+
+
+@PROPERTY
+@given(st.sampled_from(SMALL_MODULI), st.integers(-10**6, 10**6),
+       st.integers(-10**6, 10**6))
+def test_count_roots_matches_enumeration_property(modulus, a1, a0):
+    q = LocalQuery(*modulus, a1, a0)
+    assert count_roots_mod_pk(q) == count_roots_by_enumeration(q)
 
 
 def test_count_roots_large_prime_uses_square_roots():

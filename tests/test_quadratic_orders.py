@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cmintersect import (QuadDiscriminant, count_all_ideals,
                          count_ideals_bruteforce, count_invertible_ideals,
                          discriminant_of, rho2, rho_simplified,
                          two_power_factor)
+
+from test_integers import PROPERTY
 
 VALID_DISCS = [d for d in range(-400, 0) if d % 4 in (0, 1)]
 
@@ -66,6 +70,16 @@ def test_counts_match_bruteforce_small_slice():
             assert count_invertible_ideals(disc, M) == count_ideals_bruteforce(disc, M), (d, M)
             assert count_all_ideals(disc, M) == count_ideals_bruteforce(
                 disc, M, invertible_only=False), (d, M)
+
+
+@PROPERTY
+@given(st.integers(-10**4, -3).filter(lambda d: d % 4 in (0, 1)),
+       st.integers(1, 600))
+def test_counts_match_bruteforce_property(d, M):
+    disc = discriminant_of(d)
+    assert count_invertible_ideals(disc, M) == count_ideals_bruteforce(disc, M)
+    assert count_all_ideals(disc, M) == count_ideals_bruteforce(
+        disc, M, invertible_only=False)
 
 
 def test_counts_match_character_divisor_sum():
