@@ -70,9 +70,11 @@ def _json_pair(value, name: str) -> tuple[int, int]:
 
 
 def _params_from_record(record: dict, args) -> CMFieldParams:
+    if not isinstance(record, dict):
+        raise ValueError("field record must be a JSON object")
     try:
         D, alpha, beta = record["D"], record["alpha"], record["beta"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"field record needs D, alpha, beta: {exc}") from exc
     D = _json_int(D, "D")
     a0, a1 = _json_pair(alpha, "alpha")

@@ -12,10 +12,11 @@ Branches of the intersection sum are enumerated in three layers: delta
 (with D - 4*delta a perfect square), then n (a single residue class mod
 2D, both signs, bounded by delta^2 * Dtilde), then the divisor f_u.
 Each (delta, n) branch carries its Hilbert-symbol support, computed once
-and checked against the product formula.  The values N and d_u of all
-branches of one delta are factored together by a sieve: N is quadratic
-and d_u linear in the branch index, so the indices a prime divides form
-at most two residue classes (Pomerance's quadratic sieve, EUROCRYPT '84).
+and checked against the product formula.  The support lies in the primes
+of N (see `NContext`), so only N is factored: the values N of all
+branches of one delta are factored together by a sieve.  N is quadratic
+in the branch index, so the indices a prime divides form at most two
+residue classes (Pomerance's quadratic sieve, EUROCRYPT '84).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._record import Record
-from .integers import (_TRIAL_PRIMES, _factor_rough, _is_prime_place,
+from .integers import (_TRIAL_PRIMES, _factor_rough, _is_prime_place, _split,
                        _sqrt_mod_prime, _symbol_at_prime, perfect_square_root)
 from .quadratic_orders import discriminant_of
 
@@ -87,6 +88,17 @@ class NContext(Record):
     archimedean place is -1 and the product formula makes the support
     odd in size; the branch can contribute at ell only when the support
     is exactly (ell,).  It is left empty only on branches built by hand.
+
+    Every support prime divides N: away from N the symbol is 1 by the
+    norm identity d_x d_u - X^2 = 4N, X = t_x t_u - 2 t_xuv.
+    - odd p: both arguments are units, or p | d_u and X^2 = -4N (mod p)
+      makes -N a unit square;
+    - p = 2: -4N is a norm from Q(sqrt(d_u d_x)), so (d_u, -N)_2 =
+      (d_x, -N)_2.  An odd one of d_u, d_x is 1 mod 4, with symbol 1
+      against the unit -N.  If both are 0 mod 4, (X/2)^2 = 1 (mod 8)
+      gives -N = 1 - d_u d_x/4 (mod 8): -N = 1 (mod 8), or
+      v_2(d_u) = v_2(d_x) = 2 and -N = 5 (mod 8); either way
+      (2^i u, -N)_2 = (-1)^(i omega(-N)) = 1.
     """
 
     delta_ctx: DeltaContext
@@ -184,13 +196,12 @@ def _factor_by_sieve(values: list[int], starts) -> list[list[tuple[int, int]]]:
     return factors
 
 
-def _support(d_u: int, N: int, du_factors, N_factors) -> tuple[int, ...]:
-    # away from 2 d_u N both arguments are units and the symbol is 1
-    alpha, beta = dict(du_factors), dict(N_factors)
+def _support(d_u: int, N: int, N_factors) -> tuple[int, ...]:
+    # the symbol is 1 at every p not dividing N (see NContext)
     out = []
-    for p in sorted({2, *alpha, *beta}):
-        i, j = alpha.get(p, 0), beta.get(p, 0)
-        if _symbol_at_prime(d_u // p**i, i, -N // p**j, j, p) == -1:
+    for p, j in N_factors:
+        u, i = _split(d_u, p)
+        if _symbol_at_prime(u, i, -N // p**j, j, p) == -1:
             out.append(p)
     return tuple(out)
 
@@ -219,13 +230,11 @@ def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
     for k in range(lo, hi + 1):
         n = r + 2 * D * k
         N = (dd - n * n) // (4 * D)
-        step = (n + cK * delta) // (2 * D)
+        step = (n + cK * delta) // (2 * D)  # exact: n = -cK delta (mod 2D)
         n_u = -delta * step
-        if n_u % delta:
-            raise IntegralityViolation(f"n_u = {n_u} not divisible by delta = {delta}")
-        t_xuv = b1 * delta - sq * (n_u // delta)
-        n_x = b0 + a * b1 - n_u // delta
-        n_w = b0 + (D - a) * b1 - n_u // delta
+        t_xuv = b1 * delta + sq * step
+        n_x = b0 + a * b1 + step
+        n_w = b0 + (D - a) * b1 + step
         d_u = dctx.t_u**2 - 4 * n_u
         d_x = dctx.t_x**2 - 4 * n_x
         if d_u >= 0:
@@ -235,12 +244,10 @@ def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
         branches.append((n, N, n_u, n_x, n_w, t_xuv, d_u, d_x))
     if not branches:
         return ()
-    # Sieve k = lo + i.  N(k) and d_u(k) are periodic mod p, so p | N
-    # exactly when (r + 2Dk)^2 = delta^2 Dtilde (mod p), and p | d_u on
-    # one class, d_u(k) = d_u(lo) + 4 delta i; primes dividing 2D delta
-    # Dtilde (4 delta for d_u) are found by testing one period.
+    # Sieve k = lo + i.  N(k) is periodic mod p, so p | N exactly when
+    # (r + 2Dk)^2 = delta^2 Dtilde (mod p); primes dividing 2D delta
+    # Dtilde are found by testing one period.
     Ns = [b[1] for b in branches]
-    dus = [b[6] for b in branches]
 
     def N_starts(p):
         if (2 * D * delta * Dt) % p == 0:
@@ -251,17 +258,10 @@ def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
         inv = pow(2 * D, -1, p)
         return ((delta * s - r) * inv - lo) % p, ((-delta * s - r) * inv - lo) % p
 
-    def du_starts(p):
-        if (4 * delta) % p == 0:
-            return [i for i in range(min(p, len(dus))) if dus[i] % p == 0]
-        return (-dus[0] * pow(4 * delta, -1, p) % p,)
-
-    N_factors = _factor_by_sieve(Ns, N_starts)
-    du_factors = _factor_by_sieve([-d for d in dus], du_starts)
     out = []
-    for branch, Nf, df in zip(branches, N_factors, du_factors):
+    for branch, Nf in zip(branches, _factor_by_sieve(Ns, N_starts)):
         n, N, d_u = branch[0], branch[1], branch[6]
-        support = _support(d_u, N, df, Nf)
+        support = _support(d_u, N, Nf)
         if len(support) % 2 == 0:
             raise IntegralityViolation(
                 f"symbol support {support} of (d_u, -N) at (delta={delta}, n={n}) "

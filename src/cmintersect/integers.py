@@ -62,11 +62,16 @@ def padic_val(n: int, p: int) -> int:
         raise ValueError("0 has no finite p-adic valuation")
     if not _is_prime_place(p):
         raise ValueError(f"{p} is not prime")
+    return _split(n, p)[1]
+
+
+def _split(a: int, p: int) -> tuple[int, int]:
+    """(u, e) with a = u * p^e and p not dividing u, for a nonzero a."""
     e = 0
-    while n % p == 0:
-        n //= p
+    while a % p == 0:
+        a //= p
         e += 1
-    return e
+    return a, e
 
 
 def val_ext(x, p: int):
@@ -296,16 +301,9 @@ def hilbert_symbol(a, b, place) -> int:
         raise ValueError("Hilbert symbol needs nonzero arguments")
     if not _is_finite_place(place):
         return -1 if (a < 0 and b < 0) else 1
-    p = place
-    alpha = 0
-    while a % p == 0:
-        a //= p
-        alpha += 1
-    beta = 0
-    while b % p == 0:
-        b //= p
-        beta += 1
-    return _symbol_at_prime(a, alpha, b, beta, p)
+    a, alpha = _split(a, place)
+    b, beta = _split(b, place)
+    return _symbol_at_prime(a, alpha, b, beta, place)
 
 
 def _square_residues(p: int, k: int) -> frozenset:

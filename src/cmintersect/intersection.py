@@ -125,10 +125,10 @@ def intersection_number(field: CMFieldData, ell: int) -> IntersectionReport:
 def enumerate_candidate_primes(field: CMFieldData, max_prime: int | None = None):
     """Primes ell that pass the symbol screen, with their witnesses.
 
-    A witness is a branch (delta, n) with N = (delta^2 Dtilde - n^2)/(4D)
-    a positive multiple of ell whose symbol support (the finite primes p
-    with (d_u, -N)_p = -1, see `NContext`) is exactly {ell}.  Every other
-    branch vanishes at ell, and a branch witnesses at most one prime.
+    A witness is a branch (delta, n) whose symbol support (the finite
+    primes p with (d_u, -N)_p = -1, see `NContext`) is exactly {ell}, so
+    that ell divides N = (delta^2 Dtilde - n^2)/(4D).  Every other branch
+    vanishes at ell, and a branch witnesses at most one prime.
     Witnesses are listed in branch order; `max_prime` drops larger primes.
     """
     found: dict[int, list[tuple[int, int]]] = {}
@@ -137,7 +137,7 @@ def enumerate_candidate_primes(field: CMFieldData, max_prime: int | None = None)
             if len(nctx.support) != 1:
                 continue
             ell = nctx.support[0]
-            if nctx.N % ell == 0 and (max_prime is None or ell <= max_prime):
+            if max_prime is None or ell <= max_prime:
                 found.setdefault(ell, []).append((dctx.delta, nctx.n))
     return tuple(sorted((ell, tuple(ws)) for ell, ws in found.items()))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .integers import INFINITY, _is_prime_place, _sqrt_mod_prime, factorize, val_ext
+from .integers import _is_prime_place, _sqrt_mod_prime, factorize, val_ext
 
 
 class LocalQuery(Record):
@@ -89,9 +89,8 @@ def local_weight_exponent(delta: int, f_u: int, d_u: int, t_u: int, p: int) -> i
     """
     vdelta = val_ext(delta, p)
     ratio = Fraction(d_u - t_u * f_u, 2 * f_u)
+    # f_u >= 1, so c_p is finite even when the ratio is 0
     c_p = min(val_ext(f_u, p), val_ext(ratio, p))
-    if c_p == INFINITY:
-        return 0
     return max(vdelta - c_p, 0)
 
 

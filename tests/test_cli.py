@@ -124,6 +124,24 @@ def test_batch_continues_past_bad_record(tmp_path):
     assert lines[2].startswith("intersect ell=2: value = 8/1")
 
 
+def test_batch_rejects_non_object_records(tmp_path, capsys):
+    # the message is fixed, not Python's TypeError text, which varies by version
+    batch = tmp_path / "fields.json"
+    batch.write_text(json.dumps(["D", 5, [5, [0, 1], [1, 1]]]))
+    message = "field record must be a JSON object"
+    code, text = _run(["intersect", "--batch", str(batch), "--ell", "2"])
+    assert code == EXIT_INPUT_ERROR
+    assert text.splitlines() == [
+        json.dumps({"error": message, "exit": EXIT_INPUT_ERROR, "record": i},
+                   sort_keys=True, separators=(",", ":"))
+        for i in range(3)]
+    assert capsys.readouterr().err == f"input error: {message}\n" * 3
+    code, text = _run(["intersect", "--batch", str(batch), "--ell", "2",
+                       "--format", "table"])
+    assert code == EXIT_INPUT_ERROR
+    assert text.splitlines() == [f"error: record {i}: {message}" for i in range(3)]
+
+
 def test_index_bound_flag_and_violation():
     code, text = _run(["intersect", "--field", WORKED, "--ell", "2",
                        "--index-bound", "3"])

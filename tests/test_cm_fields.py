@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from cmintersect import (BadRealDiscriminant, CMFieldData, CMFieldParams,
                          FieldValidationError, IntegralityViolation, NContext,
                          NotPrimitive, NotTotallyImaginary, congruence_constant,
                          discriminant_of, enumerate_delta, enumerate_fu,
-                         enumerate_n, factorize, hilbert_symbol,
+                         enumerate_n, factorize, hilbert_symbol, padic_val,
                          perfect_square_root, t_pair, validate)
 from cmintersect import cm_fields
 from cmintersect.cm_fields import _n_contexts
@@ -146,16 +147,37 @@ def _support_by_factorize(ctx):
     return tuple(sorted(p for p in primes if hilbert_symbol(ctx.d_u, -ctx.N, p) == -1))
 
 
+def _two_adic_case(ctx):
+    # the case of NContext's argument that gives (d_u, -N)_2 = 1 for odd N
+    if ctx.d_u % 2 or ctx.d_x % 2:
+        return "2 !| N, d_u or d_x odd"
+    if -ctx.N % 8 == 1:
+        return "2 !| N, -N = 1 (mod 8)"
+    assert padic_val(ctx.d_u, 2) == padic_val(ctx.d_x, 2) == 2 and -ctx.N % 8 == 5
+    return "2 !| N, v_2(d_u) = v_2(d_x) = 2"
+
+
 def test_sieved_support_matches_factorize_oracle(corpus):
     # E3 of ROADMAP.md: 11,823 branches, N up to 2.6e8
     fields = [*corpus, validate(CMFieldParams(228, -21, 1, -22, 38))]
     branches = 0
+    cases = Counter()
     for field in fields:
         for dctx in enumerate_delta(field):
             for ctx in _n_contexts(field, dctx):
                 assert ctx.support == _support_by_factorize(ctx), (field.params, ctx.n)
                 branches += 1
+                cases["odd p | d_u, p !| N"] += sum(
+                    p != 2 and ctx.N % p != 0 for p in factorize(ctx.d_u).primes())
+                if ctx.N % 2:
+                    cases[_two_adic_case(ctx)] += 1
     assert branches == 6060 + 11823
+    # the oracle also searches the primes outside N, so every case of the
+    # argument that the support lies in primes(N) is exercised here
+    assert cases == {"odd p | d_u, p !| N": 32688,
+                     "2 !| N, d_u or d_x odd": 1501,
+                     "2 !| N, -N = 1 (mod 8)": 395,
+                     "2 !| N, v_2(d_u) = v_2(d_x) = 2": 90}
 
 
 # (D, alpha0, alpha1, beta1) with D <= 60 and |coords| <= 8 for which

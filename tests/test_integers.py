@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cmintersect import (INFINITY, Factorization, factorize, hilbert_symbol,
                          hilbert_symbol_oracle, is_prime, kronecker,
                          padic_val, perfect_square_root)
-from cmintersect.integers import _TRIAL_PRIMES
+from cmintersect.integers import _TRIAL_PRIMES, _split
 
 NONZERO = st.integers(-10**6, 10**6).filter(bool)
 ORACLE_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
@@ -26,6 +26,17 @@ def test_padic_val_rejects_zero_and_composite():
         padic_val(0, 3)
     with pytest.raises(ValueError):
         padic_val(12, 4)
+
+
+def test_split_examples():
+    # a = u * p^e with p not dividing u; the sign stays with u
+    assert _split(-12, 2) == (-3, 2)
+    assert _split(96, 2) == (3, 5)
+    assert _split(-250, 5) == (-2, 3)
+    assert _split(-81, 3) == (-1, 4)
+    assert _split(7, 3) == (7, 0)
+    assert _split(-1, 2) == (-1, 0)
+    assert _split(-15, 2) == (-15, 0)
 
 
 def test_factorize_examples():
