@@ -69,7 +69,7 @@ def _json_pair(value, name: str) -> tuple[int, int]:
     return _json_int(value[0], f"{name}[0]"), _json_int(value[1], f"{name}[1]")
 
 
-def _params_from_record(record: dict, args) -> CMFieldParams:
+def _params_from_record(record: dict, index_bound: int | None) -> CMFieldParams:
     if not isinstance(record, dict):
         raise ValueError("field record must be a JSON object")
     try:
@@ -80,8 +80,8 @@ def _params_from_record(record: dict, args) -> CMFieldParams:
     a0, a1 = _json_pair(alpha, "alpha")
     b0, b1 = _json_pair(beta, "beta")
     index = _json_int(record.get("index_bound", 1), "index_bound")
-    if args.index_bound is not None:
-        index = args.index_bound
+    if index_bound is not None:
+        index = index_bound
     return CMFieldParams(D, a0, a1, b0, b1, index)
 
 
@@ -168,16 +168,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cmintersect",
         description="Exact arithmetic intersection data for quartic CM fields")
     sub = parser.add_subparsers(dest="task", required=True)
+    # each verb takes only the flags it reads, so argparse rejects the rest
     for name in ("intersect", "primes", "special"):
         p = sub.add_parser(name)
         p.add_argument("--field", help="inline JSON or path to a field document")
         p.add_argument("--batch", help="path to a JSON array of field records")
-        p.add_argument("--ell", type=int, help="prime ell")
-        p.add_argument("--trace", action="store_true",
-                       help="include the contribution rows (intersect only)")
+        if name != "primes":
+            p.add_argument("--ell", type=int, help="prime ell")
+            p.add_argument("--index-bound", type=int,
+                           help="override the record's index bound")
+        if name == "intersect":
+            p.add_argument("--trace", action="store_true",
+                           help="include the contribution rows")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--index-bound", type=int, default=None,
-                       help="override the record's index bound")
     st = sub.add_parser("selftest")
     st.add_argument("--format", choices=("json", "table"), default="json")
     return parser
@@ -206,7 +209,7 @@ def main(argv=None, out=sys.stdout) -> int:
     worst = EXIT_OK
     for i, record in enumerate(records):
         try:
-            params = _params_from_record(record, args)
+            params = _params_from_record(record, getattr(args, "index_bound", None))
             field_data = validate(params)
             if args.task == "intersect":
                 payload = _run_intersect(field_data, args.ell, args.trace)

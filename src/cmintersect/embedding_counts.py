@@ -48,9 +48,16 @@ class ScrJQuery(Record):
 
 
 def build_query(nctx: NContext, f_u: int, ell: int) -> ScrJQuery:
-    d1 = discriminant_of(nctx.d_u // (f_u * f_u))
-    if d1.f % ell == 0:
-        raise ValueError("order is not maximal at ell; f_u is inadmissible")
+    """Query for the order of discriminant d_u/f_u^2, whose conductor is F/f_u.
+
+    F is the conductor of d_u; f_u must be a positive divisor of F with F/f_u
+    prime to ell, as `enumerate_fu` lists them, else ValueError.
+    """
+    du = discriminant_of(nctx.d_u)
+    if f_u < 1 or du.f % f_u or (du.f // f_u) % ell == 0:
+        raise ValueError(f"f_u = {f_u} is inadmissible for conductor {du.f} "
+                         f"at ell = {ell}")
+    d1 = QuadDiscriminant(nctx.d_u // (f_u * f_u), du.d0, du.f // f_u)
     return ScrJQuery(
         d1=d1, d2=nctx.d_x, t=t_pair(nctx, f_u), f_u=f_u, N=nctx.N, ell=ell,
         support=nctx.support,
@@ -73,12 +80,6 @@ def vanishing_test(q: ScrJQuery) -> bool:
     return any(p != q.ell for p in q.support)
 
 
-def _coprime_to_conductor(x: Fraction, f: int) -> bool:
-    if f == 1:
-        return True
-    return x.denominator == 1 and gcd(int(x), f) == 1
-
-
 def scrJ(q: ScrJQuery) -> CountResult:
     """The embedding-pair count, or its upper bound with a flag.
 
@@ -97,7 +98,8 @@ def scrJ(q: ScrJQuery) -> CountResult:
     value = (two_power_factor(q.d1.d, q.t, q.ell)
              * rho2(q.d1, q.t, q.d2)
              * ideal_count)
-    exact = _coprime_to_conductor(Fraction(q.N, q.f_u**2), q.d1.f)
+    f2 = q.f_u * q.f_u
+    exact = q.d1.f == 1 or (q.N % f2 == 0 and gcd(q.N // f2, q.d1.f) == 1)
     return CountResult(value, EXACT if exact else UPPER_BOUND)
 
 

@@ -9,10 +9,8 @@ for small moduli.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._record import Record
-from .integers import _is_prime_place, _sqrt_mod_prime, factorize, val_ext
+from .integers import _is_prime_place, _sqrt_mod_prime, factorize, padic_val
 
 
 class LocalQuery(Record):
@@ -84,14 +82,14 @@ def count_roots_by_enumeration(q: LocalQuery) -> int:
 def local_weight_exponent(delta: int, f_u: int, d_u: int, t_u: int, p: int) -> int:
     """The shift r_p applied to every root-count level at p.
 
-    r_p = max(v_p(delta) - min(v_p(f_u), v_p((d_u - t_u f_u)/(2 f_u))), 0),
-    with valuations extended to rationals and v(0) treated as +infinity.
+    r_p = max(v_p(delta) - c_p, 0) with c_p = v_p(f_u), lowered to
+    v_p(d_u - t_u f_u) - v_p(2 f_u) when d_u != t_u f_u and that is smaller.
     """
-    vdelta = val_ext(delta, p)
-    ratio = Fraction(d_u - t_u * f_u, 2 * f_u)
-    # f_u >= 1, so c_p is finite even when the ratio is 0
-    c_p = min(val_ext(f_u, p), val_ext(ratio, p))
-    return max(vdelta - c_p, 0)
+    c_p = padic_val(f_u, p)
+    diff = d_u - t_u * f_u
+    if diff:
+        c_p = min(c_p, padic_val(diff, p) - padic_val(2 * f_u, p))
+    return max(padic_val(delta, p) - c_p, 0)
 
 
 def frakI(nctx, f_u: int, ell: int) -> int:

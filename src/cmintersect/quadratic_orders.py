@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .integers import factorize, hilbert_symbol, is_prime, kronecker, val_ext
+from .integers import factorize, hilbert_symbol, is_prime, kronecker, padic_val
 from .local_roots import LocalQuery, count_roots_mod_pk
 
 
@@ -180,7 +180,8 @@ def two_power_factor(d: int, t, ell: int) -> int:
     for p, vp in factorize(d).factors:
         if p == 2 or p == ell:
             continue
-        if val_ext(t, p) >= vp:
+        # in lowest terms, v_p(t) >= vp >= 1 iff p^vp divides the numerator
+        if t.numerator % p**vp == 0:
             count += 1
     return 2**count
 
@@ -190,19 +191,14 @@ def rho2(disc: QuadDiscriminant, s0, s1) -> int:
 
     First factor doubles when (d = 12 mod 16 and s0 = s1 mod 2) or
     (8 | d and v(s0) >= v(d) - 2); second when 32 | d and 4 | (s0 - 2s1).
-    Congruences on s0, s1 are read 2-adically so exact rationals are fine.
+    s0, s1 are ints or Fractions, so in lowest terms: for k >= 1, v(x) >= k
+    exactly when 2^k divides x's numerator (x = 0 included).
     """
     d = disc.d
-    vd = val_ext(d, 2)
-    first = 1
-    if d % 16 == 12 and val_ext(Fraction(s0) - Fraction(s1), 2) >= 1:
-        first = 2
-    elif d % 8 == 0 and val_ext(s0, 2) >= vd - 2:
-        first = 2
-    second = 1
-    if d % 32 == 0 and val_ext(Fraction(s0) - 2 * Fraction(s1), 2) >= 2:
-        second = 2
-    return first * second
+    first = (d % 16 == 12 and (s0 - s1).numerator % 2 == 0
+             or d % 8 == 0 and s0.numerator % 2 ** (padic_val(d, 2) - 2) == 0)
+    second = d % 32 == 0 and (s0 - 2 * s1).numerator % 4 == 0
+    return 2 ** (first + second)
 
 
 def rho_simplified(disc: QuadDiscriminant, M: int, ell: int) -> int:

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import cmintersect
 from cmintersect.cli import (EXIT_HYPOTHESIS_VIOLATED, EXIT_INPUT_ERROR,
                              EXIT_OK, main)
@@ -152,6 +154,25 @@ def test_index_bound_flag_and_violation():
     code, _ = _run(["intersect", "--field", WORKED, "--ell", "2",
                     "--index-bound", "2"])
     assert code == EXIT_HYPOTHESIS_VIOLATED
+
+
+@pytest.mark.parametrize("argv, rejected", [
+    (["primes", "--field", WORKED, "--ell", "4", "--trace", "--index-bound", "7"],
+     ("--ell", "--trace", "--index-bound")),
+    (["primes", "--field", WORKED, "--ell", "3"], ("--ell",)),
+    (["special", "--field", WORKED, "--ell", "2", "--trace"], ("--trace",)),
+    (["selftest", "--field", WORKED], ("--field",)),
+])
+def test_verbs_reject_flags_they_do_not_read(argv, rejected, capsys):
+    # argparse exits with its usage error, which is the input-error class
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+    for flag in rejected:
+        assert flag in captured.err
 
 
 def test_input_errors():

@@ -9,6 +9,8 @@ from cmintersect import (EXACT, UPPER_BOUND, CMFieldParams, CountResult,
                          scrJ, scrJ_conjecture, two_power_factor, validate,
                          vanishing_test)
 
+from test_local_roots import _synthetic_branch
+
 WORKED = validate(CMFieldParams(5, 0, 1, 1, 1))
 
 
@@ -129,6 +131,30 @@ def test_build_query_rejects_inadmissible_fu():
     nctx = enumerate_n(WORKED, dctx, 2)[0]
     with pytest.raises(ValueError):
         build_query(nctx, 3, 2)
+    # -15 has conductor 1, so f_u = 2 is out although -15 // 4 = -4 is a
+    # discriminant; -108 = 6^2 * -3, and f_u = 2 leaves conductor 3 at ell = 3
+    for d_u, f_u, ell in ((-15, 2, 3), (-15, 0, 3), (-15, -1, 3), (-108, 2, 3),
+                          (-108, 1, 2), (-108, 4, 5)):
+        nctx = _synthetic_branch(delta=1, t_u=0, t_w=0, n_w=0, d_u=d_u)
+        assert f_u not in enumerate_fu(nctx, ell)
+        with pytest.raises(ValueError):
+            build_query(nctx, f_u, ell)
+    nctx = _synthetic_branch(delta=1, t_u=0, t_w=0, n_w=0, d_u=-108)
+    assert build_query(nctx, 3, 3).d1 == discriminant_of(-12)
+
+
+def test_build_query_order_matches_discriminant_of(corpus):
+    # d1 comes from d_u's conductor; it must equal the direct decomposition
+    checked = 0
+    for field in corpus:
+        for ell in (2, 3, 5):
+            for dctx in enumerate_delta(field):
+                for nctx in enumerate_n(field, dctx, ell):
+                    for f_u in enumerate_fu(nctx, ell):
+                        q = build_query(nctx, f_u, ell)
+                        assert q.d1 == discriminant_of(nctx.d_u // f_u**2)
+                        checked += f_u > 1
+    assert checked > 0
 
 
 def test_two_power_times_rho2_simplification(corpus):

@@ -1,4 +1,6 @@
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -8,8 +10,11 @@ from cmintersect import (CMFieldParams, LocalQuery, count_roots_by_enumeration,
                          count_roots_mod_pk, enumerate_delta, enumerate_n,
                          frakI, kronecker, validate)
 from cmintersect.cm_fields import DeltaContext, NContext
+from cmintersect.integers import val_ext
+from cmintersect.local_roots import local_weight_exponent
 
 from test_integers import PROPERTY
+from test_quadratic_orders import SMOOTH
 
 # (p, C) with p^C small enough to enumerate; C = -1 counts nothing
 SMALL_MODULI = [(p, C) for p in (2, 3, 5, 7, 11) for C in range(-1, 13)
@@ -117,6 +122,32 @@ def test_frakI_level_sum_example():
     assert frakI(ctx, 4, 3) == 3
     # same branch at ell = 2 skips the only prime: empty product
     assert frakI(ctx, 4, 2) == 1
+    assert local_weight_exponent(4, 4, -32, 0, 2) == 0
+    # d_u = t_u f_u: the ratio is 0, so c_2 = v_2(f_u) = 2 and r_2 = 0 again
+    assert local_weight_exponent(4, 4, -32, -8, 2) == 0
+    ctx = _synthetic_branch(delta=4, t_u=-8, t_w=1, n_w=0, d_u=-32)
+    assert frakI(ctx, 4, 3) == 3
+    # ratio 2/8 = 1/4 has a denominator divisible by 2: c_2 = -2, r_2 = 4,
+    # so both levels are negative and the factor is empty
+    assert local_weight_exponent(4, 4, 2, 0, 2) == 4
+    assert frakI(_synthetic_branch(delta=4, t_u=0, t_w=1, n_w=0, d_u=2), 4, 3) == 0
+
+
+def _weight_exponent_ref(delta, f_u, d_u, t_u, p):
+    # valuations extended to rationals, v(0) = +inf
+    c_p = min(val_ext(f_u, p), val_ext(Fraction(d_u - t_u * f_u, 2 * f_u), p))
+    return max(val_ext(delta, p) - c_p, 0)
+
+
+@PROPERTY
+@given(SMOOTH, SMOOTH, st.integers(-10**4, 10**4),
+       st.one_of(st.just(0), st.builds(operator.mul, st.integers(-30, 30), SMOOTH)),
+       st.sampled_from((2, 3, 5, 7)))
+def test_local_weight_exponent_matches_valuation_form(delta, f_u, t_u, diff, p):
+    # d_u - t_u f_u = diff, which is 0 (d_u = t_u f_u) or has a chosen valuation
+    d_u = t_u * f_u + diff
+    assert (local_weight_exponent(delta, f_u, d_u, t_u, p)
+            == _weight_exponent_ref(delta, f_u, d_u, t_u, p))
 
 
 def test_frakI_negative_levels_vanish():

@@ -88,7 +88,10 @@ def test_unique_superideal_examples():
 def test_unique_superideal_matches_membership_filter():
     rng = random.Random(42)
     checked = 0
-    while checked < 60:
+    # a bounded number of draws, so a broken filter fails instead of hanging
+    for _ in range(10_000):
+        if checked == 60:
+            break
         p = rng.choice([2, 3])
         z = PMatrix.of(*(rng.randint(-12, 12) for _ in range(4)))
         if z.norm == 0 or z.min_valuation(p) != 0:
@@ -102,6 +105,7 @@ def test_unique_superideal_matches_membership_filter():
                        if (z * generator(I).inverse()).is_integral_at(p)]
             assert members == [got], (z, N)
         checked += 1
+    assert checked == 60
 
 
 def test_right_order_examples():

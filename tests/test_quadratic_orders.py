@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from cmintersect import (QuadDiscriminant, count_all_ideals,
                          count_ideals_bruteforce, count_invertible_ideals,
-                         discriminant_of, rho2, rho_simplified,
+                         discriminant_of, factorize, rho2, rho_simplified,
                          two_power_factor)
+from cmintersect.integers import val_ext
 
 from test_integers import PROPERTY
 
@@ -137,6 +139,12 @@ def test_rho2_accepts_rationals():
     # non-integral s0 is never congruent to an integer mod 2
     assert rho2(discriminant_of(-20), Fraction(1, 3), 1) == 2
     assert rho2(discriminant_of(-20), Fraction(1, 2), 0) == 1
+    # a difference of even-denominator values can still be 0, of valuation inf
+    assert rho2(discriminant_of(-20), Fraction(1, 2), Fraction(1, 2)) == 2
+    assert rho2(discriminant_of(-32), Fraction(1, 2), Fraction(1, 4)) == 2
+    assert rho2(discriminant_of(-32), 0, 0) == 4
+    assert rho2(discriminant_of(-32), Fraction(0), Fraction(1, 2)) == 2
+    assert rho2(discriminant_of(-32), Fraction(8, 3), Fraction(4, 5)) == 4
 
 
 def test_two_power_factor_examples():
@@ -148,6 +156,54 @@ def test_two_power_factor_examples():
     assert two_power_factor(-9, 0, 2) == 2
     assert two_power_factor(-75, 15, 2) == 2
     assert two_power_factor(-75, 15, 3) == 1
+    # Fraction inputs: zero passes everywhere, a denominator divisible by p fails at p
+    assert two_power_factor(-75, Fraction(0), 2) == 4
+    assert two_power_factor(-75, Fraction(75, 7), 2) == 4
+    assert two_power_factor(-75, Fraction(15, 4), 2) == 2
+    assert two_power_factor(-75, Fraction(25, 3), 2) == 2
+    assert two_power_factor(-75, Fraction(75, 5 * 3**4), 2) == 1
+
+
+def _two_power_factor_ref(d, t, ell):
+    # valuations extended to rationals, v(0) = +inf
+    return 2 ** sum(1 for p, vp in factorize(d).factors
+                    if p != 2 and p != ell and val_ext(t, p) >= vp)
+
+
+def _rho2_ref(disc, s0, s1):
+    d, vd = disc.d, val_ext(disc.d, 2)
+    first = 1
+    if d % 16 == 12 and val_ext(Fraction(s0) - Fraction(s1), 2) >= 1:
+        first = 2
+    elif d % 8 == 0 and val_ext(s0, 2) >= vd - 2:
+        first = 2
+    second = 1
+    if d % 32 == 0 and val_ext(Fraction(s0) - 2 * Fraction(s1), 2) >= 2:
+        second = 2
+    return first * second
+
+
+# products of small primes, so valuations up to 6 and zero both occur
+SMOOTH = st.sampled_from((1, 2, 3, 4, 5, 8, 9, 15, 16, 25, 27, 32, 45, 49, 64, 75))
+SMOOTH_INTS = st.builds(operator.mul, st.integers(-30, 30), SMOOTH)
+# ints, and Fractions whose denominators may hold the primes of d
+RATIONALS = st.one_of(SMOOTH_INTS, st.builds(Fraction, SMOOTH_INTS, SMOOTH))
+# d = f^2 d0 reaches 12 mod 16, 8 | d and 32 | d, and odd primes squared
+DISCS = st.builds(lambda d, f: d * f * f, st.sampled_from(VALID_DISCS),
+                  st.sampled_from((1, 2, 3, 4, 5, 6, 8, 15)))
+
+
+@PROPERTY
+@given(DISCS, RATIONALS, st.sampled_from((2, 3, 5, 7)))
+def test_two_power_factor_matches_valuation_form(d, t, ell):
+    assert two_power_factor(d, t, ell) == _two_power_factor_ref(d, t, ell)
+
+
+@PROPERTY
+@given(DISCS, RATIONALS, RATIONALS)
+def test_rho2_matches_valuation_form(d, s0, s1):
+    disc = discriminant_of(d)
+    assert rho2(disc, s0, s1) == _rho2_ref(disc, s0, s1)
 
 
 def test_rho_simplified_examples():
