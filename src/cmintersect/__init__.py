@@ -22,8 +22,7 @@ from .integers import (INFINITY, Factorization, factorize, hilbert_symbol,
 from .intersection import (ContributionRow, IndexHypothesisViolated,
                            IntersectionReport, enumerate_candidate_primes,
                            intersection_number, mu_ell, special_case_value)
-from .local_roots import (LocalQuery, count_roots_by_enumeration,
-                          count_roots_mod_pk, frakI)
+from .local_roots import count_roots_by_enumeration, count_roots_mod_pk, frakI
 from .quadratic_orders import (QuadDiscriminant, count_all_ideals,
                                count_ideals_bruteforce,
                                count_invertible_ideals, discriminant_of,

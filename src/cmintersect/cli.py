@@ -2,12 +2,14 @@
 
 Verbs: `intersect` (coefficient of log ell), `primes` (candidate primes
 with witnesses), `special` (simplified-formula value), `selftest`
-(built-in oracle suites).  Field data arrives as a JSON document, inline
-or from a file, and its values must be JSON integers; batch mode streams
-one line per record, the report or, for a bad record, an error naming the
-record's 0-based index and its exit class, and exits with the largest
-class seen.  All rationals are emitted as [numerator, denominator] pairs
-and output is byte-stable for identical inputs.
+(built-in oracle suites).  Field data arrives as one JSON document
+(`--field`, inline or from a file) or as a batch file (`--batch`), never
+both; a record may hold only the keys D, alpha, beta and index_bound, and
+its values must be JSON integers.  Batch mode streams one line per
+record, the report or, for a bad record, an error naming the record's
+0-based index and its exit class, and exits with the largest class seen.
+All rationals are emitted as [numerator, denominator] pairs and output
+is byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -72,6 +74,9 @@ def _json_pair(value, name: str) -> tuple[int, int]:
 def _params_from_record(record: dict, index_bound: int | None) -> CMFieldParams:
     if not isinstance(record, dict):
         raise ValueError("field record must be a JSON object")
+    unknown = sorted(set(record) - {"D", "alpha", "beta", "index_bound"})
+    if unknown:
+        raise ValueError(f"field record has unknown keys: {', '.join(unknown)}")
     try:
         D, alpha, beta = record["D"], record["alpha"], record["beta"]
     except KeyError as exc:
@@ -171,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     # each verb takes only the flags it reads, so argparse rejects the rest
     for name in ("intersect", "primes", "special"):
         p = sub.add_parser(name)
-        p.add_argument("--field", help="inline JSON or path to a field document")
-        p.add_argument("--batch", help="path to a JSON array of field records")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--field", help="inline JSON or path to a field document")
+        source.add_argument("--batch", help="path to a JSON array of field records")
         if name != "primes":
             p.add_argument("--ell", type=int, help="prime ell")
             p.add_argument("--index-bound", type=int,

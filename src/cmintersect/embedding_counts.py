@@ -42,10 +42,6 @@ class ScrJQuery(Record):
     ell: int
     support: tuple[int, ...]    # finite p with (d_u, -N)_p = -1
 
-    def norm_target(self) -> Fraction:
-        """(delta^2 Dtilde - n^2) / (4 D ell f_u^2); ideals need it integral."""
-        return Fraction(self.N, self.ell * self.f_u**2)
-
 
 def build_query(nctx: NContext, f_u: int, ell: int) -> ScrJQuery:
     """Query for the order of discriminant d_u/f_u^2, whose conductor is F/f_u.
@@ -90,11 +86,9 @@ def scrJ(q: ScrJQuery) -> CountResult:
     """
     if vanishing_test(q):
         return CountResult(0, EXACT)
-    target = q.norm_target()
-    if target.denominator != 1 or target < 1:
-        ideal_count = 0
-    else:
-        ideal_count = count_invertible_ideals(q.d1, int(target))
+    # ideals have norm N / (ell f_u^2) = (delta^2 Dtilde - n^2) / (4 D ell f_u^2)
+    M, r = divmod(q.N, q.ell * q.f_u**2)
+    ideal_count = count_invertible_ideals(q.d1, M) if r == 0 and M >= 1 else 0
     value = (two_power_factor(q.d1.d, q.t, q.ell)
              * rho2(q.d1, q.t, q.d2)
              * ideal_count)

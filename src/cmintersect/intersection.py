@@ -122,23 +122,21 @@ def intersection_number(field: CMFieldData, ell: int) -> IntersectionReport:
         mode=mode, ell=ell, rows=tuple(rows), warnings=tuple(warnings))
 
 
-def enumerate_candidate_primes(field: CMFieldData, max_prime: int | None = None):
+def enumerate_candidate_primes(field: CMFieldData):
     """Primes ell that pass the symbol screen, with their witnesses.
 
     A witness is a branch (delta, n) whose symbol support (the finite
     primes p with (d_u, -N)_p = -1, see `NContext`) is exactly {ell}, so
     that ell divides N = (delta^2 Dtilde - n^2)/(4D).  Every other branch
     vanishes at ell, and a branch witnesses at most one prime.
-    Witnesses are listed in branch order; `max_prime` drops larger primes.
+    Witnesses are listed in branch order.
     """
     found: dict[int, list[tuple[int, int]]] = {}
     for dctx in enumerate_delta(field):
         for nctx in _n_contexts(field, dctx):
             if len(nctx.support) != 1:
                 continue
-            ell = nctx.support[0]
-            if max_prime is None or ell <= max_prime:
-                found.setdefault(ell, []).append((dctx.delta, nctx.n))
+            found.setdefault(nctx.support[0], []).append((dctx.delta, nctx.n))
     return tuple(sorted((ell, tuple(ws)) for ell, ws in found.items()))
 
 

@@ -9,23 +9,13 @@ for small moduli.
 
 from __future__ import annotations
 
-from ._record import Record
 from .integers import _is_prime_place, _sqrt_mod_prime, factorize, padic_val
-
-
-class LocalQuery(Record):
-    p: int
-    C: int
-    a1: int
-    a0: int
 
 
 def _roots_mod_p(p: int, a1: int, a0: int) -> list[int]:
     # roots of t^2 - a1 t + a0 mod p
     if p == 2:
         return [t for t in (0, 1) if (t * t - a1 * t + a0) % 2 == 0]
-    if p <= 64:
-        return [t for t in range(p) if (t * t - a1 * t + a0) % p == 0]
     disc = (a1 * a1 - 4 * a0) % p
     inv2 = pow(2, -1, p)
     if disc == 0:
@@ -36,12 +26,11 @@ def _roots_mod_p(p: int, a1: int, a0: int) -> list[int]:
     return sorted({(a1 + s) * inv2 % p, (a1 - s) * inv2 % p})
 
 
-def count_roots_mod_pk(q: LocalQuery) -> int:
+def count_roots_mod_pk(p: int, C: int, a1: int, a0: int) -> int:
     """Number of residues t mod p^C with t^2 - a1*t + a0 = 0 (mod p^C).
 
     C < 0 counts nothing; C = 0 counts the single residue class mod 1.
     """
-    p, C, a1, a0 = q.p, q.C, q.a1, q.a0
     if not _is_prime_place(p):
         raise ValueError(f"{p} is not prime")
     return _count(p, C, a1, a0)
@@ -69,14 +58,14 @@ def _count(p: int, C: int, a1: int, a0: int) -> int:
     return total
 
 
-def count_roots_by_enumeration(q: LocalQuery) -> int:
+def count_roots_by_enumeration(p: int, C: int, a1: int, a0: int) -> int:
     """Literal enumeration oracle; small moduli only."""
-    if q.C < 0:
+    if C < 0:
         return 0
-    mod = q.p**q.C
+    mod = p**C
     if mod > 10**6:
         raise ValueError("enumeration oracle is desk-scale only")
-    return sum(1 for t in range(mod) if (t * t - q.a1 * t + q.a0) % mod == 0)
+    return sum(1 for t in range(mod) if (t * t - a1 * t + a0) % mod == 0)
 
 
 def local_weight_exponent(delta: int, f_u: int, d_u: int, t_u: int, p: int) -> int:
@@ -95,8 +84,9 @@ def local_weight_exponent(delta: int, f_u: int, d_u: int, t_u: int, p: int) -> i
 def frakI(nctx, f_u: int, ell: int) -> int:
     """Product over p | delta, p != ell of shifted root-count sums.
 
-    Each factor sums count_roots_mod_pk at levels j - r_p for j running
-    from v_p(delta) down by steps of two; the empty product is 1.
+    Each factor sums the root counts of t^2 - t_w t + n_w mod p^(j - r_p)
+    for j running from v_p(delta) down by steps of two; the empty product
+    is 1.
     """
     dctx = nctx.delta_ctx
     delta = dctx.delta
@@ -107,6 +97,6 @@ def frakI(nctx, f_u: int, ell: int) -> int:
         r_p = local_weight_exponent(delta, f_u, nctx.d_u, dctx.t_u, p)
         factor = 0
         for j in range(vp % 2, vp + 1, 2):
-            factor += count_roots_mod_pk(LocalQuery(p, j - r_p, dctx.t_w, nctx.n_w))
+            factor += _count(p, j - r_p, dctx.t_w, nctx.n_w)
         total *= factor
     return total

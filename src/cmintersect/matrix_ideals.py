@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .integers import is_prime, val_ext
-from .local_roots import LocalQuery, count_roots_mod_pk
+from .local_roots import count_roots_mod_pk
 
 _DESK_LIMIT = 10**6
 
@@ -246,7 +246,7 @@ def count_right_order_ideals(p: int, N: int, y: PMatrix, r: int) -> int:
     scaled = y.scale(p**r)
     if not is_optimally_embedded(scaled, p):
         raise ValueError(f"p^{r} * y is not optimally embedded")
-    return count_roots_mod_pk(LocalQuery(p, N - r, int(y.trace), int(y.norm)))
+    return count_roots_mod_pk(p, N - r, int(y.trace), int(y.norm))
 
 
 def canonical_conjugate(y: PMatrix, p: int, r: int) -> PMatrix:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .integers import factorize, hilbert_symbol, is_prime, kronecker, padic_val
-from .local_roots import LocalQuery, count_roots_mod_pk
+from .local_roots import _count
 
 
 class QuadDiscriminant(Record):
@@ -42,11 +42,6 @@ def discriminant_of(d: int) -> QuadDiscriminant:
     return QuadDiscriminant(d, d0, f)
 
 
-def _nroots(p: int, m: int, d: int) -> int:
-    # solutions of x^2 = d (mod p^m)
-    return count_roots_mod_pk(LocalQuery(p, m, 0, -d))
-
-
 def _local_count(d: int, f: int, p: int, k: int, invertible_only: bool) -> int:
     # ideals of norm p^k of the order of discriminant d, locally at p
     if k == 0:
@@ -61,28 +56,16 @@ def _local_count(d: int, f: int, p: int, k: int, invertible_only: bool) -> int:
     # p divides the conductor.  A norm-p^j lattice-primitive ideal is
     # a pair (p^j, b mod 2p^j) with b^2 = d mod 4p^j; it is invertible
     # exactly when its form has unit content, which removes the solutions
-    # with b^2 = d modulo one more power of p.
-    if p == 2:
-        def count_S(j):
-            return _nroots(2, j + 2, d) // 2
-
-        def count_T(j):
-            return _nroots(2, j + 3, d) // 4
-    else:
-        def count_S(j):
-            return _nroots(p, j, d)
-
-        def count_T(j):
-            return _nroots(p, j + 1, d) // p
-
+    # with b^2 = d modulo one more power of p.  For odd p the pairs are the
+    # roots mod p^j; for p = 2 they are the roots mod 2^(j+2), where b and
+    # b + 2^(j+1) give the same pair.  p | f puts p^2 in d, so the j = 0
+    # term is 1 - 0: the order itself.
+    shift, half = (2, 2) if p == 2 else (0, 1)
     total = 0
     for j in range(k % 2, k + 1, 2):
-        if j == 0:
-            total += 1
-        elif invertible_only:
-            total += count_S(j) - count_T(j)
-        else:
-            total += count_S(j)
+        total += _count(p, j + shift, 0, -d) // half
+        if invertible_only:
+            total -= _count(p, j + shift + 1, 0, -d) // (half * p)
     return total
 
 
@@ -214,8 +197,12 @@ def rho_simplified(disc: QuadDiscriminant, M: int, ell: int) -> int:
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     d = disc.d
+    count = 0
     for p, _ in factorize(d).factors:
-        if p != ell and hilbert_symbol(d, -M, p) == -1:
+        if p == ell:
+            continue
+        if hilbert_symbol(d, -M, p) == -1:
             return 0
-    count = sum(1 for p, _ in factorize(d).factors if M % p == 0 and p != ell)
+        if M % p == 0:
+            count += 1
     return 2**count

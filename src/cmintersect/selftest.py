@@ -13,7 +13,7 @@ from fractions import Fraction
 from .cm_fields import CMFieldParams, validate
 from .integers import INFINITY, factorize, hilbert_symbol, hilbert_symbol_oracle
 from .intersection import intersection_number
-from .local_roots import LocalQuery, count_roots_by_enumeration, count_roots_mod_pk
+from .local_roots import count_roots_by_enumeration, count_roots_mod_pk
 from .matrix_ideals import (companion_matrix, count_right_order_ideals,
                             enumerate_ideals, is_primitive, right_order_contains)
 from .quadratic_orders import (count_ideals_bruteforce, count_invertible_ideals,
@@ -27,8 +27,8 @@ def _suites() -> list[dict]:
     passed = failed = 0
     for _ in range(200):
         p = rng.choice([2, 3, 5, 7])
-        q = LocalQuery(p, rng.randint(0, 4), rng.randint(-40, 40), rng.randint(-40, 40))
-        if count_roots_mod_pk(q) == count_roots_by_enumeration(q):
+        q = (p, rng.randint(0, 4), rng.randint(-40, 40), rng.randint(-40, 40))
+        if count_roots_mod_pk(*q) == count_roots_by_enumeration(*q):
             passed += 1
         else:
             failed += 1

@@ -15,7 +15,7 @@ from math import gcd
 from pathlib import Path
 
 import cmintersect
-from cmintersect import (EXACT, CMFieldParams, LocalQuery, build_query,
+from cmintersect import (EXACT, CMFieldParams, build_query,
                          count_ideals_bruteforce, count_invertible_ideals,
                          count_roots_by_enumeration, count_roots_mod_pk,
                          discriminant_of, enumerate_candidate_primes,
@@ -41,9 +41,9 @@ def test_criterion_1_local_root_counts():
     start = time.perf_counter()
     mismatches = 0
     for _ in range(500):
-        q = LocalQuery(rng.choice([2, 3, 5, 7]), rng.randint(0, 5),
-                       rng.randint(-100, 100), rng.randint(-100, 100))
-        if count_roots_mod_pk(q) != count_roots_by_enumeration(q):
+        q = (rng.choice([2, 3, 5, 7]), rng.randint(0, 5),
+             rng.randint(-100, 100), rng.randint(-100, 100))
+        if count_roots_mod_pk(*q) != count_roots_by_enumeration(*q):
             mismatches += 1
     elapsed = time.perf_counter() - start
     assert mismatches == 0
@@ -259,7 +259,7 @@ def test_criterion_9_candidate_prime_consistency(corpus):
     violations = 0
     nonzero = 0
     for field in corpus:
-        candidates = {ell for ell, _ in enumerate_candidate_primes(field, max_prime=50)}
+        candidates = {ell for ell, _ in enumerate_candidate_primes(field)}
         for ell in primes:
             if intersection_number(field, ell).value != 0:
                 nonzero += 1

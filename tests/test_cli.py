@@ -156,12 +156,22 @@ def test_index_bound_flag_and_violation():
     assert code == EXIT_HYPOTHESIS_VIOLATED
 
 
+UNRECOGNIZED = "unrecognized arguments"
+BOTH_SOURCES = "argument --batch: not allowed with argument --field"
+
+
 @pytest.mark.parametrize("argv, rejected", [
     (["primes", "--field", WORKED, "--ell", "4", "--trace", "--index-bound", "7"],
-     ("--ell", "--trace", "--index-bound")),
-    (["primes", "--field", WORKED, "--ell", "3"], ("--ell",)),
-    (["special", "--field", WORKED, "--ell", "2", "--trace"], ("--trace",)),
-    (["selftest", "--field", WORKED], ("--field",)),
+     (UNRECOGNIZED, "--ell", "--trace", "--index-bound")),
+    (["primes", "--field", WORKED, "--ell", "3"], (UNRECOGNIZED, "--ell")),
+    (["special", "--field", WORKED, "--ell", "2", "--trace"], (UNRECOGNIZED, "--trace")),
+    (["selftest", "--field", WORKED], (UNRECOGNIZED, "--field")),
+    # one field source only: --field is not dropped in favour of --batch
+    (["intersect", "--field", WORKED, "--batch", "b.json", "--ell", "2"],
+     (BOTH_SOURCES,)),
+    (["primes", "--field", WORKED, "--batch", "b.json"], (BOTH_SOURCES,)),
+    (["special", "--field", WORKED, "--batch", "b.json", "--ell", "2"],
+     (BOTH_SOURCES,)),
 ])
 def test_verbs_reject_flags_they_do_not_read(argv, rejected, capsys):
     # argparse exits with its usage error, which is the input-error class
@@ -170,9 +180,8 @@ def test_verbs_reject_flags_they_do_not_read(argv, rejected, capsys):
     assert exc.value.code == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments" in captured.err
-    for flag in rejected:
-        assert flag in captured.err
+    for fragment in rejected:
+        assert fragment in captured.err
 
 
 def test_input_errors():
@@ -210,6 +219,30 @@ def test_field_values_must_be_json_integers():
                 '{"D":5,"alpha":[0,1],"beta":[1]}'):
         code, text = _run(["intersect", "--field", bad, "--ell", "2"])
         assert (code, text) == (EXIT_INPUT_ERROR, ""), bad
+
+
+def test_missing_field_source_is_an_input_error(capsys):
+    code, text = _run(["primes"])
+    assert (code, text) == (EXIT_INPUT_ERROR, "")
+    assert capsys.readouterr().err == "input error: missing --field (or --batch)\n"
+
+
+def test_unknown_record_keys_are_rejected(tmp_path, capsys):
+    # a misspelt index_bound must not fall back to the monogenic default
+    typo = '{"D":5,"alpha":[0,1],"beta":[1,1],"index_bond":3,"Beta":[1,1]}'
+    message = "field record has unknown keys: Beta, index_bond"
+    code, text = _run(["intersect", "--field", typo, "--ell", "2"])
+    assert (code, text) == (EXIT_INPUT_ERROR, "")
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    batch = tmp_path / "fields.json"
+    batch.write_text(json.dumps([json.loads(typo), json.loads(WORKED)]))
+    code, text = _run(["intersect", "--batch", str(batch), "--ell", "2"])
+    assert code == EXIT_INPUT_ERROR
+    lines = text.splitlines()
+    assert json.loads(lines[0]) == {"error": message, "exit": EXIT_INPUT_ERROR,
+                                    "record": 0}
+    assert lines[1] == _run(["intersect", "--field", WORKED, "--ell", "2"])[1].strip()
+    assert len(lines) == 2
 
 
 def test_field_from_file(tmp_path):

@@ -11,7 +11,7 @@ and holds the level-sum formula equal to the direct count.
 import random
 from fractions import Fraction
 
-from cmintersect import LocalQuery, count_roots_mod_pk
+from cmintersect import count_roots_mod_pk
 from cmintersect.integers import val_ext
 from cmintersect.matrix_ideals import (PMatrix, enumerate_ideals, generator,
                                        is_optimally_embedded,
@@ -37,7 +37,7 @@ def _direct_ideal_count(p, e, u, w):
 
 
 def _level_sum(p, e, r, w):
-    return sum(count_roots_mod_pk(LocalQuery(p, j - r, int(w.trace), int(w.norm)))
+    return sum(count_roots_mod_pk(p, j - r, int(w.trace), int(w.norm))
                for j in range(e % 2, e + 1, 2))
 
 

@@ -60,7 +60,7 @@ def test_zero_ideal_count_branch():
     field = validate(CMFieldParams(5, -3, 0, 0, 3))
     q = _branch(field, 3, 1, -9, 2)
     assert not vanishing_test(q)
-    assert q.norm_target() == Fraction(3, 4)
+    assert Fraction(q.N, q.ell * q.f_u**2) == Fraction(3, 4)
     assert scrJ(q).value == 0
 
 
@@ -81,7 +81,7 @@ def test_upper_bound_branch_components():
     assert gcd(int(ratio), q.d1.f) > 1
     assert (int(ratio), q.d1.f) == (20, 2)
     # the reported value is exactly the bound formula, oracle-backed
-    target = q.norm_target()
+    target = Fraction(q.N, q.ell * q.f_u**2)
     ideal_count = (count_ideals_bruteforce(q.d1, int(target))
                    if target.denominator == 1 and target >= 1 else 0)
     expected = (two_power_factor(q.d1.d, q.t, q.ell)

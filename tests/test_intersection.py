@@ -104,7 +104,7 @@ def test_candidate_primes_worked_example():
     assert cands == ((2, ((1, -1),)),)
 
 
-def _candidate_primes_bruteforce(field, max_prime=None):
+def _candidate_primes_bruteforce(field):
     # witness test evaluated per ell, every symbol computed directly: ell | N,
     # (d_u, -N)_p = 1 at the other primes of 2 d_u N and -1 at ell
     found = {}
@@ -112,8 +112,6 @@ def _candidate_primes_bruteforce(field, max_prime=None):
         for ctx in _n_contexts(field, dctx):
             primes = {2, *factorize(ctx.d_u).primes(), *factorize(ctx.N).primes()}
             for ell in factorize(ctx.N).primes():
-                if max_prime is not None and ell > max_prime:
-                    continue
                 if hilbert_symbol(ctx.d_u, -ctx.N, ell) == 1:
                     continue
                 if all(hilbert_symbol(ctx.d_u, -ctx.N, p) == 1
@@ -125,16 +123,15 @@ def _candidate_primes_bruteforce(field, max_prime=None):
 def test_candidate_primes_match_bruteforce(corpus):
     witnessed = 0
     for field in corpus:
-        for max_prime in (None, 50):
-            cands = enumerate_candidate_primes(field, max_prime=max_prime)
-            assert cands == _candidate_primes_bruteforce(field, max_prime), field.params
-            witnessed += len(cands)
+        cands = enumerate_candidate_primes(field)
+        assert cands == _candidate_primes_bruteforce(field), field.params
+        witnessed += len(cands)
     assert witnessed > 100
 
 
 def test_candidate_primes_divide_a_norm():
     field = validate(CMFieldParams(13, -3, 0, -3, 2))
-    for ell, witnesses in enumerate_candidate_primes(field, max_prime=50):
+    for ell, witnesses in enumerate_candidate_primes(field):
         assert witnesses
         for delta, n in witnesses:
             assert (delta * delta * field.Dtilde - n * n) % (4 * field.params.D) == 0

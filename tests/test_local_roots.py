@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmintersect import (CMFieldParams, LocalQuery, count_roots_by_enumeration,
+from cmintersect import (CMFieldParams, count_roots_by_enumeration,
                          count_roots_mod_pk, enumerate_delta, enumerate_n,
                          frakI, kronecker, validate)
 from cmintersect.cm_fields import DeltaContext, NContext
@@ -17,47 +17,46 @@ from test_integers import PROPERTY
 from test_quadratic_orders import SMOOTH
 
 # (p, C) with p^C small enough to enumerate; C = -1 counts nothing
-SMALL_MODULI = [(p, C) for p in (2, 3, 5, 7, 11) for C in range(-1, 13)
+SMALL_MODULI = [(p, C) for p in (2, 3, 5, 7, 11, 13, 17, 61) for C in range(-1, 13)
                 if p ** max(C, 0) <= 4096]
 
 
 def test_count_roots_examples():
-    assert count_roots_mod_pk(LocalQuery(5, -2, 1, 1)) == 0
-    assert count_roots_mod_pk(LocalQuery(7, -1, 0, 0)) == 0
-    assert count_roots_mod_pk(LocalQuery(3, 0, 4, 9)) == 1
-    assert count_roots_mod_pk(LocalQuery(3, 1, 0, 0)) == 1
-    assert count_roots_mod_pk(LocalQuery(2, 2, 1, 0)) == 2
+    assert count_roots_mod_pk(5, -2, 1, 1) == 0
+    assert count_roots_mod_pk(7, -1, 0, 0) == 0
+    assert count_roots_mod_pk(3, 0, 4, 9) == 1
+    assert count_roots_mod_pk(3, 1, 0, 0) == 1
+    assert count_roots_mod_pk(2, 2, 1, 0) == 2
     for p in (9, 1):
         with pytest.raises(ValueError):
-            count_roots_mod_pk(LocalQuery(p, 1, 0, 0))
+            count_roots_mod_pk(p, 1, 0, 0)
 
 
 def test_count_roots_matches_enumeration():
     rng = random.Random(31)
     for _ in range(300):
-        q = LocalQuery(rng.choice([2, 3, 5, 7]), rng.randint(0, 5),
-                       rng.randint(-60, 60), rng.randint(-60, 60))
-        assert count_roots_mod_pk(q) == count_roots_by_enumeration(q), q
+        q = (rng.choice([2, 3, 5, 7]), rng.randint(0, 5),
+             rng.randint(-60, 60), rng.randint(-60, 60))
+        assert count_roots_mod_pk(*q) == count_roots_by_enumeration(*q), q
 
 
 @PROPERTY
 @given(st.sampled_from(SMALL_MODULI), st.integers(-10**6, 10**6),
        st.integers(-10**6, 10**6))
 def test_count_roots_matches_enumeration_property(modulus, a1, a0):
-    q = LocalQuery(*modulus, a1, a0)
-    assert count_roots_mod_pk(q) == count_roots_by_enumeration(q)
+    q = (*modulus, a1, a0)
+    assert count_roots_mod_pk(*q) == count_roots_by_enumeration(*q)
 
 
 def test_count_roots_large_prime_uses_square_roots():
     rng = random.Random(32)
     for _ in range(60):
         p = rng.choice([97, 101, 257])
-        q = LocalQuery(p, rng.randint(0, 2), rng.randint(-300, 300),
-                       rng.randint(-300, 300))
-        assert count_roots_mod_pk(q) == count_roots_by_enumeration(q), q
+        q = (p, rng.randint(0, 2), rng.randint(-300, 300), rng.randint(-300, 300))
+        assert count_roots_mod_pk(*q) == count_roots_by_enumeration(*q), q
     for _ in range(30):
-        q = LocalQuery(1009, 1, rng.randint(-3000, 3000), rng.randint(-3000, 3000))
-        assert count_roots_mod_pk(q) == count_roots_by_enumeration(q), q
+        q = (1009, 1, rng.randint(-3000, 3000), rng.randint(-3000, 3000))
+        assert count_roots_mod_pk(*q) == count_roots_by_enumeration(*q), q
 
 
 def test_hensel_constancy_for_nonsingular_quadratics():
@@ -71,7 +70,7 @@ def test_hensel_constancy_for_nonsingular_quadratics():
             continue
         expected = 2 if kronecker(disc, p) == 1 else 0
         for C in range(1, 5):
-            assert count_roots_mod_pk(LocalQuery(p, C, a1, a0)) == expected
+            assert count_roots_mod_pk(p, C, a1, a0) == expected
         checked += 1
 
 
@@ -118,7 +117,7 @@ def test_frakI_level_sum_example():
     # delta = 4, ell odd: the p = 2 factor with r_2 = 0 sums levels 0 and 2
     ctx = _synthetic_branch(delta=4, t_u=0, t_w=1, n_w=0, d_u=-32)
     # c_2 = min(v_2(4), v_2(-32/8)) = 2, so r_2 = 0
-    assert frakI(ctx, 4, 3) == 1 + count_roots_mod_pk(LocalQuery(2, 2, 1, 0))
+    assert frakI(ctx, 4, 3) == 1 + count_roots_mod_pk(2, 2, 1, 0)
     assert frakI(ctx, 4, 3) == 3
     # same branch at ell = 2 skips the only prime: empty product
     assert frakI(ctx, 4, 2) == 1

@@ -4,7 +4,7 @@ import pytest
 
 from cmintersect import (EXACT, CMFieldData, CMFieldParams, ContributionRow,
                          CountResult, DeltaContext, Factorization,
-                         IntersectionReport, LocalQuery, NContext,
+                         IntersectionReport, NContext,
                          QuadDiscriminant, ScrJQuery, enumerate_delta,
                          enumerate_n, validate)
 from cmintersect._record import Record
@@ -49,7 +49,6 @@ SAMPLES = [
      "mode='monogenic', ell=2, rows=(ContributionRow(delta=1, n=-1, f_u=1, "
      "C_delta=1, mu=Fraction(1, 1), frakI=1, scrJ_value=1, "
      "scrJ_exactness='exact', product=Fraction(1, 1)),), warnings=())"),
-    (LocalQuery, dict(p=2, C=1, a1=0, a0=1), "LocalQuery(p=2, C=1, a1=0, a0=1)"),
     (IdealTriple, dict(p=2, n=1, m=1, t=1), "IdealTriple(p=2, n=1, m=1, t=1)"),
     # trace and norm are properties now, no longer fields in the repr
     (PMatrix, dict(a=Fraction(0), b=Fraction(-5), c=Fraction(1), d=Fraction(0)),
@@ -103,7 +102,8 @@ def test_other_types_never_compare_equal():
     assert params != (5, 0, 1, 1, 1, 1)
     assert not params == (5, 0, 1, 1, 1, 1)
     # same field values, different class
-    assert QuadDiscriminant(-3, -3, 1) != LocalQuery(-3, -3, 1, 0)
+    assert IdealTriple(2, 1, 1, 1) != PMatrix(2, 1, 1, 1)
+    assert not IdealTriple(2, 1, 1, 1) == PMatrix(2, 1, 1, 1)
     assert CountResult(1, EXACT) != Factorization(1, EXACT)
 
 
