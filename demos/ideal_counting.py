@@ -7,8 +7,8 @@ classical non-invertible ideal (2, 1 + sqrt(-3)) of Z[sqrt(-3)] shows why
 the invertibility filter matters.
 """
 
-from cmintersect import (count_all_ideals, count_ideals_bruteforce,
-                         count_invertible_ideals, discriminant_of)
+from cmintersect import count_all_ideals, count_invertible_ideals, discriminant_of
+from cmintersect.oracles import count_ideals_bruteforce
 
 print("Discriminant decomposition d = f^2 * d0:")
 for d in (-4, -12, -32, -75, -400):

@@ -6,7 +6,8 @@ intersection sum.  Nonsingular roots lift uniquely (Hensel); singular
 roots fan out or die, and the recursive count tracks exactly that.
 """
 
-from cmintersect import count_roots_by_enumeration, count_roots_mod_pk
+from cmintersect import count_roots_mod_pk
+from cmintersect.oracles import count_roots_by_enumeration
 
 print("t^2 - t mod 2^C: two nonsingular roots, stable under lifting:")
 for C in range(0, 6):

@@ -7,8 +7,8 @@ them, and the product formula over all places.
 
 import random
 
-from cmintersect import (INFINITY, factorize, hilbert_symbol,
-                         hilbert_symbol_oracle, kronecker)
+from cmintersect import INFINITY, factorize, hilbert_symbol, kronecker
+from cmintersect.oracles import hilbert_symbol_oracle
 
 print("Kronecker symbols (a | n):")
 for a, n in [(2, 7), (3, 5), (-1, 3), (5, 12), (12, 35)]:

@@ -4,8 +4,8 @@ Verbs: `intersect` (coefficient of log ell), `primes` (candidate primes
 with witnesses), `special` (simplified-formula value), `selftest`
 (built-in oracle suites).  Field data arrives as one JSON document
 (`--field`, inline or from a file) or as a batch file (`--batch`), never
-both; a record may hold only the keys D, alpha, beta and index_bound, and
-its values must be JSON integers.  Batch mode streams one line per
+both; a record may hold only the keys D, alpha, beta and index_bound, each
+once, and its values must be JSON integers.  Batch mode streams one line per
 record, the report or, for a bad record, an error naming the record's
 0-based index and its exit class, and exits with the largest class seen.
 All rationals are emitted as [numerator, denominator] pairs and output
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .cm_fields import (CMFieldParams, FieldValidationError,
@@ -36,11 +37,21 @@ def _rat(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
 
+class _JSONObject(dict):
+    """A JSON object; `repeated` holds the keys given twice or more, sorted,
+    so that record alone is refused where json.loads would keep the last."""
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        counts = Counter(key for key, _ in pairs)
+        self.repeated = sorted(key for key, n in counts.items() if n > 1)
+
+
 def _load_field_records(args) -> list[dict]:
     if args.batch:
         from pathlib import Path
         text = Path(args.batch).read_text()
-        records = json.loads(text)
+        records = json.loads(text, object_pairs_hook=_JSONObject)
         if not isinstance(records, list):
             raise ValueError("batch file must hold a JSON array of field records")
         return records
@@ -52,7 +63,7 @@ def _load_field_records(args) -> list[dict]:
     else:
         from pathlib import Path
         text = Path(doc).read_text()
-    record = json.loads(text)
+    record = json.loads(text, object_pairs_hook=_JSONObject)
     if not isinstance(record, dict):
         raise ValueError("field document must be a JSON object")
     return [record]
@@ -74,6 +85,8 @@ def _json_pair(value, name: str) -> tuple[int, int]:
 def _params_from_record(record: dict, index_bound: int | None) -> CMFieldParams:
     if not isinstance(record, dict):
         raise ValueError("field record must be a JSON object")
+    if record.repeated:
+        raise ValueError(f"field record has duplicate keys: {', '.join(record.repeated)}")
     unknown = sorted(set(record) - {"D", "alpha", "beta", "index_bound"})
     if unknown:
         raise ValueError(f"field record has unknown keys: {', '.join(unknown)}")
@@ -192,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None, out=sys.stdout) -> int:
+def main(argv=None, out=None) -> int:
+    out = sys.stdout if out is None else out
     parser = build_parser()
     args = parser.parse_args(argv)
 

@@ -151,11 +151,12 @@ def enumerate_delta(field: CMFieldData) -> tuple[DeltaContext, ...]:
     """All delta >= 1 with D - 4*delta a perfect square, ascending."""
     D = field.params.D
     a0, a1 = field.params.alpha0, field.params.alpha1
+    if D < 4 or D % 4 > 1:
+        return ()
     out = []
-    for delta in range(1, D // 4 + 1):
-        sq = perfect_square_root(D - 4 * delta)
-        if sq is None:
-            continue
+    # sq = D mod 2 makes D - sq^2 a multiple of 4 when D = 0, 1 mod 4
+    for sq in reversed(range(D % 2, math.isqrt(D - 4) + 1, 2)):
+        delta = (D - sq * sq) // 4
         a = (D - sq) // 2
         out.append(DeltaContext(
             delta=delta, a=a, sq=sq,

@@ -5,8 +5,8 @@ d1 = d_u/f_u^2, the second discriminant d_x, and the pairing value t.  It
 vanishes when a Hilbert symbol is -1 away from ell; under a conductor
 coprimality hypothesis it equals an explicit product (a power of two, a
 two-adic case factor, and an invertible-ideal count), and in all cases
-that product is an upper bound.  Results carry an exactness flag so a
-bound is never presented as an exact value.
+that product is an upper bound.  Results carry an exactness flag, so a
+bound is never shown as exact.  Cross-check: `oracles.scrJ_conjecture`.
 """
 
 from __future__ import annotations
@@ -16,16 +16,11 @@ from math import gcd
 
 from ._record import Record
 from .cm_fields import NContext, t_pair
-from .integers import factorize, hilbert_symbol, kronecker
 from .quadratic_orders import (QuadDiscriminant, count_invertible_ideals,
                                discriminant_of, rho2, two_power_factor)
 
 EXACT = "exact"
 UPPER_BOUND = "upper-bound"
-
-
-class AmbiguousSelection(ArithmeticError):
-    """Neither discriminant is maximal at a prime dividing m."""
 
 
 class CountResult(Record):
@@ -95,56 +90,3 @@ def scrJ(q: ScrJQuery) -> CountResult:
     f2 = q.f_u * q.f_u
     exact = q.d1.f == 1 or (q.N % f2 == 0 and gcd(q.N // f2, q.d1.f) == 1)
     return CountResult(value, EXACT if exact else UPPER_BOUND)
-
-
-def scrJ_conjecture(q: ScrJQuery):
-    """Conjectural local-factor product; None when its hypotheses fail.
-
-    Needs odd ell, an integer pairing value t, positive
-    m = (d1 d2 - (d1 d2 - 2t)^2)/4, and no factor common to both conductors
-    and m simultaneously.  Each prime p | m, p != ell contributes a factor
-    from the five-case table driven by whichever of d1, d2 is maximal at p.
-
-    ell = 2 is excluded: the product omits p = ell, so nothing can carry
-    the two-adic case factor, and e.g. the pair count for (-4, -3, 5) at
-    ell = 2 is 2 while the product evaluates to 1.
-    """
-    if q.ell == 2:
-        return None
-    if q.t.denominator != 1:
-        return None
-    t = int(q.t)
-    d1, d2 = q.d1.d, q.d2
-    m4 = d1 * d2 - (d1 * d2 - 2 * t) ** 2
-    if m4 <= 0 or m4 % 4:
-        return None
-    m = m4 // 4
-    f1 = q.d1.f
-    f2 = discriminant_of(d2).f
-    if gcd(gcd(f1, f2), m) != 1:
-        return None
-    total = 1
-    for p, vpm in factorize(m).factors:
-        if p == q.ell:
-            continue
-        if f1 % p:
-            dp = d1
-        elif f2 % p:
-            dp = d2
-        else:
-            raise AmbiguousSelection(
-                f"neither discriminant is maximal at p = {p}; "
-                "contradicts the no-common-factor hypothesis")
-        chi = kronecker(dp, p)
-        if chi == 1 and f1 % p:
-            total *= 1 + vpm
-        elif (chi == 1 and f1 % p == 0) or (
-                dp % p == 0 and hilbert_symbol(dp, -m, p) == 1 and f1 % p):
-            total *= 2
-        elif (chi == -1 and f1 % p and vpm % 2 == 0) or (
-                dp % p == 0 and hilbert_symbol(dp, -m, p) == 1
-                and f1 % p == 0 and vpm == 2):
-            total *= 1
-        else:
-            return 0
-    return total

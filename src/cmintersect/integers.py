@@ -1,12 +1,11 @@
 """Unbounded-integer arithmetic: valuations, factorization, quadratic symbols.
 
-Everything here is exact.  Hilbert symbols are provided twice: a closed
-form built on the standard local formulas, and a brute-force solvability
-oracle that decides the symbol by enumerating primitive solutions of
-z^2 = a x^2 + b y^2 modulo a prime power.  The oracle is the arbiter in
-the test suite.  The closed form runs on integers only: a Fraction a/c
-enters as a*c, which lies in the same square class, and the power of p
-and the unit residues are read off with integer arithmetic.
+Everything here is exact.  The Hilbert symbol is the closed form built
+on the standard local formulas; its brute-force solvability oracle is
+`oracles.hilbert_symbol_oracle`.  The closed form runs on integers only:
+a Fraction a/c enters as a*c, which lies in the same square class, and
+the power of p and the unit residues are read off with integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -72,15 +71,6 @@ def _split(a: int, p: int) -> tuple[int, int]:
         a //= p
         e += 1
     return a, e
-
-
-def val_ext(x, p: int):
-    """p-adic valuation extended to 0 (-> +inf) and rationals."""
-    if x == 0:
-        return INFINITY
-    if isinstance(x, Fraction):
-        return padic_val(x.numerator, p) - padic_val(x.denominator, p)
-    return padic_val(x, p)
 
 
 class Factorization(Record):
@@ -304,49 +294,3 @@ def hilbert_symbol(a, b, place) -> int:
     a, alpha = _split(a, place)
     b, beta = _split(b, place)
     return _symbol_at_prime(a, alpha, b, beta, place)
-
-
-def _square_residues(p: int, k: int) -> frozenset:
-    mod = p**k
-    return frozenset(x * x % mod for x in range(mod))
-
-
-def hilbert_symbol_oracle(a, b, place, k: int | None = None) -> int:
-    """Brute-force Hilbert symbol: primitive solvability of z^2 = ax^2 + by^2.
-
-    Works modulo p^k (default k = 3 for odd p, k = 6 for p = 2), which
-    decides the symbol when v_p(a), v_p(b) <= 1 after clearing square
-    factors.  Intended for small p; this is the test arbiter.  The place
-    must be an int prime or INFINITY, as for `hilbert_symbol`.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("Hilbert symbol needs nonzero arguments")
-    if not _is_finite_place(place):
-        return -1 if (a < 0 and b < 0) else 1
-    p = place
-    if k is None:
-        k = 6 if p == 2 else 3
-
-    def reduce_arg(x: Fraction) -> int:
-        # multiply by rational squares: integer with v_p in {0, 1}
-        n = x.numerator * x.denominator
-        v = padic_val(n, p)
-        return n // p ** (2 * (v // 2))
-
-    ra, rb = reduce_arg(a), reduce_arg(b)
-    mod = p**k
-    squares = _square_residues(p, k)
-    xs_unit = sorted({ra * x * x % mod for x in range(mod) if x % p})
-    xs_nonu = sorted({ra * x * x % mod for x in range(0, mod, p)})
-    ys_unit = sorted({rb * y * y % mod for y in range(mod) if y % p})
-    ys_all = sorted(set(ys_unit) | {rb * y * y % mod for y in range(0, mod, p)})
-    for xv in xs_unit:
-        for yv in ys_all:
-            if (xv + yv) % mod in squares:
-                return 1
-    for xv in xs_nonu:
-        for yv in ys_unit:
-            if (xv + yv) % mod in squares:
-                return 1
-    return -1

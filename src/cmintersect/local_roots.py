@@ -3,8 +3,8 @@ local product that weights each (delta, n, f_u) summand.
 
 The count is Hensel-style: nonsingular roots mod p lift uniquely, singular
 roots are followed by substituting t = r + p*s and dividing the polynomial
-by p^2, which keeps it monic.  Exhaustive enumeration is the test arbiter
-for small moduli.
+by p^2, which keeps it monic.  `oracles.count_roots_by_enumeration` is
+the test arbiter for small moduli.
 """
 
 from __future__ import annotations
@@ -56,16 +56,6 @@ def _count(p: int, C: int, a1: int, a0: int) -> int:
         # t = r + p*s: (f(r) + f'(r) p s + p^2 s^2) / p^2 is again monic in s
         total += p * _count(p, C - 2, -dfr // p, fr // (p * p))
     return total
-
-
-def count_roots_by_enumeration(p: int, C: int, a1: int, a0: int) -> int:
-    """Literal enumeration oracle; small moduli only."""
-    if C < 0:
-        return 0
-    mod = p**C
-    if mod > 10**6:
-        raise ValueError("enumeration oracle is desk-scale only")
-    return sum(1 for t in range(mod) if (t * t - a1 * t + a0) % mod == 0)
 
 
 def local_weight_exponent(delta: int, f_u: int, d_u: int, t_u: int, p: int) -> int:

@@ -13,10 +13,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .integers import is_prime, val_ext
+from .integers import INFINITY, is_prime, padic_val
 from .local_roots import count_roots_mod_pk
 
 _DESK_LIMIT = 10**6
+
+
+def val_ext(x, p: int):
+    """p-adic valuation extended to 0 (-> +inf) and rationals."""
+    if x == 0:
+        return INFINITY
+    if isinstance(x, Fraction):
+        return padic_val(x.numerator, p) - padic_val(x.denominator, p)
+    return padic_val(x, p)
 
 
 class IdealTriple(Record):

@@ -4,14 +4,12 @@ An integral ideal of the order of discriminant d is a full sublattice of
 Z + Z*alpha (alpha = (d + sqrt(d))/2) closed under multiplication by
 alpha; its norm is its index.  `count_invertible_ideals` is the closed
 form (multiplicative over prime powers, split/inert/ramified away from
-the conductor, quadratic-congruence root counts at conductor primes) and
-`count_ideals_bruteforce` is the independent Hermite-normal-form oracle
-that arbitrates it in the tests.
+the conductor, quadratic-congruence root counts at conductor primes);
+`oracles.count_ideals_bruteforce`, a Hermite-normal-form enumeration,
+arbitrates it in the tests.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from ._record import Record
 from .integers import factorize, hilbert_symbol, is_prime, kronecker, padic_val
@@ -86,72 +84,6 @@ def count_all_ideals(disc: QuadDiscriminant, M: int) -> int:
     total = 1
     for p, k in factorize(M).factors:
         total *= _local_count(disc.d, disc.f, p, k, invertible_only=False)
-    return total
-
-
-def _lattice_contains(a: int, b: int, c: int, w1: Fraction, w2: Fraction) -> bool:
-    # does x*(a, 0) + y*(b, c) = (w1, w2) have an integer solution?
-    y = Fraction(w2, c)
-    if y.denominator != 1:
-        return False
-    x = (Fraction(w1) - y * b) / a
-    return x.denominator == 1
-
-
-def _contains_int(a: int, b: int, c: int, w1: int, w2: int) -> bool:
-    # integer-coordinate membership: x*(a, 0) + y*(b, c) = (w1, w2) solvable
-    if w2 % c:
-        return False
-    return (w1 - (w2 // c) * b) % a == 0
-
-
-def count_ideals_bruteforce(disc: QuadDiscriminant, M: int,
-                            invertible_only: bool = True) -> int:
-    """Oracle: exhaustive HNF sublattice enumeration with direct tests.
-
-    Sublattices of index M have column bases (a, 0), (b, c) over (1, alpha)
-    with a*c = M, 0 <= b < a.  Ideal test: both alpha-multiples of the basis
-    stay inside.  Invertibility test: the multiplier ring equals the order,
-    probed by the generator of each order of discriminant d/p^2, p | f.
-    """
-    if M < 1:
-        raise ValueError("norm must be positive")
-    if M > 10**4:
-        raise ValueError("oracle is desk-scale only (M <= 10^4)")
-    d, f = disc.d, disc.f
-    q = (d * d - d) // 4  # Norm(alpha)
-    probes = []
-    for p, _ in factorize(f).factors if f > 1 else ():
-        # s + alpha/p generates the order of discriminant d/p^2
-        probes.append((p, Fraction(d // (p * p) - d // p, 2)))
-
-    total = 0
-    for c in range(1, M + 1):
-        if M % c:
-            continue
-        a = M // c
-        if a % c:
-            # alpha*(a, 0) = (0, a) needs c | a whatever b is
-            continue
-        for b in range(a):
-            # closure: alpha*(a,0) = (0, a); alpha*(b,c) = (-c*q, b + c*d)
-            if not _contains_int(a, b, c, 0, a):
-                continue
-            if not _contains_int(a, b, c, -c * q, b + c * d):
-                continue
-            if invertible_only:
-                inflated = False
-                for p, s in probes:
-                    # apply x_p = s + alpha/p to both basis vectors
-                    in_a = _lattice_contains(a, b, c, s * a, Fraction(a, p))
-                    in_b = _lattice_contains(a, b, c, s * b - Fraction(c * q, p),
-                                             s * c + Fraction(b + c * d, p))
-                    if in_a and in_b:
-                        inflated = True
-                        break
-                if inflated:
-                    continue
-            total += 1
     return total
 
 

@@ -2,7 +2,7 @@
 brute-force check, plus the worked example end to end.
 
 Only `cmintersect selftest` imports this module, so the other verbs do
-not load `random` or `matrix_ideals`.
+not load `random`, `matrix_ideals` or `oracles`.
 """
 
 from __future__ import annotations
@@ -11,13 +11,14 @@ import random
 from fractions import Fraction
 
 from .cm_fields import CMFieldParams, validate
-from .integers import INFINITY, factorize, hilbert_symbol, hilbert_symbol_oracle
+from .integers import INFINITY, factorize, hilbert_symbol
 from .intersection import intersection_number
-from .local_roots import count_roots_by_enumeration, count_roots_mod_pk
+from .local_roots import count_roots_mod_pk
 from .matrix_ideals import (companion_matrix, count_right_order_ideals,
                             enumerate_ideals, is_primitive, right_order_contains)
-from .quadratic_orders import (count_ideals_bruteforce, count_invertible_ideals,
-                               discriminant_of)
+from .oracles import (count_ideals_bruteforce, count_roots_by_enumeration,
+                      hilbert_symbol_oracle)
+from .quadratic_orders import count_invertible_ideals, discriminant_of
 
 
 def _suites() -> list[dict]:

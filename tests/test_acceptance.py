@@ -16,18 +16,19 @@ from pathlib import Path
 
 import cmintersect
 from cmintersect import (EXACT, CMFieldParams, build_query,
-                         count_ideals_bruteforce, count_invertible_ideals,
-                         count_roots_by_enumeration, count_roots_mod_pk,
+                         count_invertible_ideals, count_roots_mod_pk,
                          discriminant_of, enumerate_candidate_primes,
                          enumerate_delta, enumerate_fu, enumerate_n, factorize,
-                         frakI, hilbert_symbol, hilbert_symbol_oracle,
-                         intersection_number, is_prime, scrJ, scrJ_conjecture,
-                         special_case_value, t_pair, validate)
+                         frakI, hilbert_symbol, intersection_number, is_prime,
+                         scrJ, special_case_value, t_pair, validate)
 from cmintersect.matrix_ideals import (PMatrix, companion_matrix,
                                        contained_in, contained_in_by_quotient,
                                        count_right_order_ideals,
                                        enumerate_ideals, is_primitive,
                                        right_order_contains)
+from cmintersect.oracles import (count_ideals_bruteforce,
+                                 count_roots_by_enumeration,
+                                 hilbert_symbol_oracle, scrJ_conjecture)
 
 REPO = Path(__file__).resolve().parent.parent
 

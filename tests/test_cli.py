@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -245,6 +246,38 @@ def test_unknown_record_keys_are_rejected(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_duplicate_record_keys_are_rejected(tmp_path, capsys):
+    # json.loads alone keeps the last value: this would run the D = 13 field
+    dup = '{"D":5,"D":13,"alpha":[-3,0],"beta":[-3,2],"beta":[-3,2]}'
+    message = "field record has duplicate keys: D, beta"
+    doc = tmp_path / "field.json"
+    doc.write_text(dup)
+    for source in (dup, str(doc)):
+        code, text = _run(["primes", "--field", source])
+        assert (code, text) == (EXIT_INPUT_ERROR, "")
+        assert capsys.readouterr().err == f"input error: {message}\n"
+    # duplicates are reported before unknown keys
+    code, _ = _run(["primes", "--field", '{"D":5,"D":5,"Beta":[1,1]}'])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "input error: field record has duplicate keys: D\n"
+    batch = tmp_path / "fields.json"
+    batch.write_text(f"[{WORKED}, {dup}, {WORKED}]")
+    code, text = _run(["primes", "--batch", str(batch)])
+    assert code == EXIT_INPUT_ERROR
+    lines = text.splitlines()
+    assert json.loads(lines[1]) == {"error": message, "exit": EXIT_INPUT_ERROR,
+                                    "record": 1}
+    worked = _run(["primes", "--field", WORKED])[1].strip()
+    assert lines == [worked, lines[1], worked]
+
+
+def test_main_writes_to_the_current_stdout():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["primes", "--field", WORKED]) == EXIT_OK
+    assert out.getvalue() == _run(["primes", "--field", WORKED])[1]
+
+
 def test_field_from_file(tmp_path):
     doc = tmp_path / "field.json"
     doc.write_text(WORKED)
@@ -262,12 +295,16 @@ def test_selftest_passes():
 
 
 def test_cli_import_leaves_out_dataclasses_and_selftest_code():
-    # every CLI process pays for what `import cmintersect.cli` loads; -S keeps
-    # modules that site-packages .pth files import out of the picture
+    # every CLI process pays for what `import cmintersect.cli` and its verbs
+    # load; -S keeps modules that site-packages .pth files import out of the
+    # picture
     package_root = str(Path(cmintersect.__file__).resolve().parent.parent)
     unwanted = ("dataclasses", "inspect", "cmintersect.matrix_ideals",
-                "cmintersect.selftest")
-    code = ("import cmintersect.cli, sys; "
+                "cmintersect.oracles", "cmintersect.selftest")
+    verbs = [["intersect", "--field", WORKED, "--ell", "2", "--trace"],
+             ["primes", "--field", WORKED], ["special", "--field", WORKED, "--ell", "2"]]
+    code = ("import cmintersect.cli, io, sys; "
+            f"[cmintersect.cli.main(argv, out=io.StringIO()) for argv in {verbs!r}]; "
             f"print(*[m for m in {unwanted!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=package_root))

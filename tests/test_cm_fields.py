@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cmintersect import (BadRealDiscriminant, CMFieldData, CMFieldParams,
-                         FieldValidationError, IntegralityViolation, NContext,
-                         NotPrimitive, NotTotallyImaginary, congruence_constant,
+                         DeltaContext, FieldValidationError,
+                         IntegralityViolation, NContext, NotPrimitive,
+                         NotTotallyImaginary, congruence_constant,
                          discriminant_of, enumerate_delta, enumerate_fu,
                          enumerate_n, factorize, hilbert_symbol, padic_val,
                          perfect_square_root, t_pair, validate)
@@ -80,6 +81,22 @@ def test_enumerate_delta_nonempty_for_all_valid_D():
             assert c.sq * c.sq == D - 4 * c.delta
             assert c.sq == D - 2 * c.a
             assert 2 * c.a <= D
+
+
+def test_enumerate_delta_matches_the_delta_scan():
+    # the reference tests every delta up to D/4; D = 2, 3 mod 4 and D < 4 give ()
+    for D in range(1, 2000):
+        a0, a1 = 3, -2
+        expected = []
+        for delta in range(1, D // 4 + 1):
+            sq = perfect_square_root(D - 4 * delta)
+            if sq is not None:
+                a = (D - sq) // 2
+                expected.append(DeltaContext(
+                    delta=delta, a=a, sq=sq, C_delta=2 if 4 * delta == D else 1,
+                    t_u=a1 * delta, t_x=a0 + a * a1, t_w=a0 + (D - a) * a1))
+        dummy = CMFieldData(CMFieldParams(D, a0, a1, 1, 1), Dtilde=0, cK=0)
+        assert enumerate_delta(dummy) == tuple(expected), D
 
 
 def test_enumerate_n_worked_example():

@@ -12,10 +12,9 @@ import random
 from fractions import Fraction
 
 from cmintersect import count_roots_mod_pk
-from cmintersect.integers import val_ext
 from cmintersect.matrix_ideals import (PMatrix, enumerate_ideals, generator,
                                        is_optimally_embedded,
-                                       right_order_contains)
+                                       right_order_contains, val_ext)
 
 
 def _min_entry_valuation(m, p):

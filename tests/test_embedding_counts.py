@@ -4,10 +4,10 @@ from math import gcd
 import pytest
 
 from cmintersect import (EXACT, UPPER_BOUND, CMFieldParams, CountResult,
-                         build_query, count_ideals_bruteforce, discriminant_of,
-                         enumerate_delta, enumerate_fu, enumerate_n, rho2,
-                         scrJ, scrJ_conjecture, two_power_factor, validate,
-                         vanishing_test)
+                         build_query, discriminant_of, enumerate_delta,
+                         enumerate_fu, enumerate_n, rho2, scrJ,
+                         two_power_factor, validate, vanishing_test)
+from cmintersect.oracles import count_ideals_bruteforce, scrJ_conjecture
 
 from test_local_roots import _synthetic_branch
 

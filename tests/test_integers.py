@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmintersect import (INFINITY, Factorization, factorize, hilbert_symbol,
-                         hilbert_symbol_oracle, is_prime, kronecker,
-                         padic_val, perfect_square_root)
+                         is_prime, kronecker, padic_val, perfect_square_root)
 from cmintersect.integers import _TRIAL_PRIMES, _split
+from cmintersect.oracles import hilbert_symbol_oracle
 
 NONZERO = st.integers(-10**6, 10**6).filter(bool)
 ORACLE_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmintersect import (EXACT, UPPER_BOUND, CMFieldParams,
                          IndexHypothesisViolated, NContext,
@@ -97,6 +99,49 @@ def test_report_value_shape(corpus):
             base = sum((r.product for r in report.rows), Fraction(0))
             doubled = any("twice" in w for w in report.warnings)
             assert report.value == (2 * base if doubled else base)
+
+
+def _present(params, move, c):
+    """The parameters of the same field K under another generator eta."""
+    D, a0, a1, b0, b1 = (params.D, params.alpha0, params.alpha1,
+                         params.beta0, params.beta1)
+    if move == "eta + c":
+        new = (a0 + 2 * c, a1, b0 + c * a0 + c * c, b1 + c * a1)
+    elif move == "eta + c*omega":
+        new = (a0, a1 + 2 * c, b0 - c * (a1 + c) * (D * D - D) // 4,
+               b1 + c * (a0 + a1 * D) + c * c * D)
+    elif move == "-eta":
+        new = (-a0, -a1, b0, b1)
+    else:  # the Galois conjugate of F: omega -> D - omega
+        new = (a0 + a1 * D, -a1, b0 + b1 * D, -b1)
+    return CMFieldParams(D, *new, params.index_bound)
+
+
+MOVES = st.tuples(st.sampled_from(("eta + c", "eta + c*omega", "-eta", "conjugate F")),
+                  st.integers(-2, 2))
+
+
+# 17 is prime, above every corpus D/4 and every ell below, so index-bound
+# mode never raises
+@settings(max_examples=80, deadline=None, database=None)
+@given(index=st.integers(0, 59), index_bound=st.sampled_from((1, 17)),
+       moves=st.lists(MOVES, min_size=1, max_size=3))
+def test_presentations_of_one_field_agree(corpus, index, index_bound, moves):
+    p = corpus[index].params
+    field = validate(CMFieldParams(p.D, p.alpha0, p.alpha1, p.beta0, p.beta1,
+                                   index_bound))
+    other = field.params
+    for move, c in moves:
+        other = _present(other, move, c)
+    other = validate(other)
+    assert ([ell for ell, _ in enumerate_candidate_primes(field)]
+            == [ell for ell, _ in enumerate_candidate_primes(other)])
+    conjugated = any(move == "conjugate F" for move, _ in moves)
+    for ell in (2, 3, 5, 7, 11, 13):
+        report, moved = intersection_number(field, ell), intersection_number(other, ell)
+        assert moved.exactness == report.exactness, (moves, ell)
+        if report.exactness == EXACT or not conjugated:
+            assert moved.value == report.value, (moves, ell)
 
 
 def test_candidate_primes_worked_example():

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmintersect import (CMFieldParams, count_roots_by_enumeration,
-                         count_roots_mod_pk, enumerate_delta, enumerate_n,
-                         frakI, kronecker, validate)
+from cmintersect import (CMFieldParams, count_roots_mod_pk, enumerate_delta,
+                         enumerate_n, frakI, kronecker, validate)
 from cmintersect.cm_fields import DeltaContext, NContext
-from cmintersect.integers import val_ext
 from cmintersect.local_roots import local_weight_exponent
+from cmintersect.matrix_ideals import val_ext
+from cmintersect.oracles import count_roots_by_enumeration
 
 from test_integers import PROPERTY
 from test_quadratic_orders import SMOOTH

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from cmintersect.integers import val_ext
 from cmintersect.matrix_ideals import (IdealTriple, PMatrix, canonical_conjugate,
                                        companion_matrix, contained_in,
                                        contained_in_by_quotient,
@@ -11,7 +10,8 @@ from cmintersect.matrix_ideals import (IdealTriple, PMatrix, canonical_conjugate
                                        enumerate_ideals, generator,
                                        is_optimally_embedded, is_primitive,
                                        normalize_to_triple,
-                                       right_order_contains, unique_superideal)
+                                       right_order_contains, unique_superideal,
+                                       val_ext)
 
 
 def test_enumerate_ideals_examples():

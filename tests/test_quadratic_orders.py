@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cmintersect import (QuadDiscriminant, count_all_ideals,
-                         count_ideals_bruteforce, count_invertible_ideals,
-                         discriminant_of, factorize, rho2, rho_simplified,
-                         two_power_factor)
-from cmintersect.integers import val_ext
+                         count_invertible_ideals, discriminant_of, factorize,
+                         rho2, rho_simplified, two_power_factor)
+from cmintersect.matrix_ideals import val_ext
+from cmintersect.oracles import count_ideals_bruteforce
 
 from test_integers import PROPERTY
 
