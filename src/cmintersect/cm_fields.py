@@ -13,10 +13,12 @@ Branches of the intersection sum are enumerated in three layers: delta
 2D, both signs, bounded by delta^2 * Dtilde), then the divisor f_u.
 Each (delta, n) branch carries its Hilbert-symbol support, computed once
 and checked against the product formula.  The support lies in the primes
-of N (see `NContext`), so only N is factored: the values N of all
-branches of one delta are factored together by a sieve.  N is quadratic
-in the branch index, so the indices a prime divides form at most two
-residue classes (Pomerance's quadratic sieve, EUROCRYPT '84).
+of N (see `NContext`), so only N is sieved, and the supports of all
+branches of one delta are decided in that sieve.  N is quadratic in the
+branch index, so the indices a prime divides form at most two residue
+classes (Pomerance's quadratic sieve, EUROCRYPT '84); d_u is linear in
+it, so d_u mod p is one residue on each class, and one Legendre symbol
+decides an odd p on a class where p does not divide d_u.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from functools import lru_cache
 
 from ._record import Record
 from .integers import (_TRIAL_PRIMES, _factor_rough, _is_prime_place, _split,
-                       _sqrt_mod_prime, _symbol_at_prime, perfect_square_root)
+                       _sqrt_mod_prime, _symbol_at_prime, kronecker,
+                       perfect_square_root)
 from .quadratic_orders import discriminant_of
 
 
@@ -99,6 +102,14 @@ class NContext(Record):
       gives -N = 1 - d_u d_x/4 (mod 8): -N = 1 (mod 8), or
       v_2(d_u) = v_2(d_x) = 2 and -N = 5 (mod 8); either way
       (2^i u, -N)_2 = (-1)^(i omega(-N)) = 1.
+
+    The supports are decided while N is sieved.  Within one delta, d_u =
+    t_u^2 + 4 delta (step_0 + k) is linear in the branch index k, so on a
+    sieve class k = start (mod p) it has one residue mod p.  For odd
+    p not dividing d_u, (d_u, -N)_p = (d_u/p)^v_p(N): p is in the support
+    exactly when that class's Legendre symbol is -1 and v_p(N) is odd.
+    Evaluated branch by branch instead: p = 2, odd p dividing d_u on the
+    class, and the cofactor primes above the sieve limit.
     """
 
     delta_ctx: DeltaContext
@@ -168,43 +179,57 @@ def enumerate_delta(field: CMFieldData) -> tuple[DeltaContext, ...]:
     return tuple(out)
 
 
-def _factor_by_sieve(values: list[int], starts) -> list[list[tuple[int, int]]]:
-    """The (prime, exponent) pairs of each positive values[i], ascending.
+def _flips(d_u: int, N: int, p: int, e: int) -> bool:
+    # (d_u, -N)_p == -1 for one branch, with p^e exactly dividing N
+    u, i = _split(d_u, p)
+    return _symbol_at_prime(u, i, -N // p**e, e, p) == -1
 
-    starts(p) gives the residues mod p of the indices i with p | values[i].
+
+def _supports_by_sieve(Ns: list[int], d_us: list[int], starts) -> list[tuple[int, ...]]:
+    """The support of (d_us[i], -Ns[i]) of each branch, ascending.
+
+    Ns[i] > 0; d_us is linear in i, so d_us[i] mod p depends only on i
+    mod p.  starts(p) gives the residues mod p of the indices i with
+    p | Ns[i].  Every support prime divides N (see `NContext`).  On a
+    class where an odd p does not divide d_u, one Legendre symbol
+    decides every branch: (d_u, -N)_p = (d_u/p)^v_p(N).  p = 2 and odd p
+    dividing d_u on the class take the full local symbol branch by
+    branch; a cofactor prime above the sieve limit takes the same rule
+    as a class, with its own branch's Legendre symbol.
     """
-    m = len(values)
-    limit = min(10_000, math.isqrt(max(values)) + 1)
-    cofactors = list(values)
-    factors = [[] for _ in range(m)]
+    m = len(Ns)
+    limit = min(10_000, math.isqrt(max(Ns)) + 1)
+    cofactors = list(Ns)
+    supports = [[] for _ in range(m)]
     for p in _TRIAL_PRIMES:
         if p >= limit:
             break
         for start in starts(p):
+            if start >= m:  # the class begins past the last branch
+                continue
+            sym = kronecker(d_us[start], p) if p != 2 else 0
             for i in range(start, m, p):
                 v, e = cofactors[i] // p, 1
                 while v % p == 0:
                     v //= p
                     e += 1
                 cofactors[i] = v
-                factors[i].append((p, e))
+                if sym == -1 and e % 2 or not sym and _flips(d_us[i], Ns[i], p, e):
+                    supports[i].append(p)
     # no prime below limit is left, so a cofactor below limit^2 is prime
     for i, c in enumerate(cofactors):
         if c >= limit * limit:
-            factors[i].extend(_factor_rough(c))
+            rest = _factor_rough(c)
         elif c > 1:
-            factors[i].append((c, 1))
-    return factors
-
-
-def _support(d_u: int, N: int, N_factors) -> tuple[int, ...]:
-    # the symbol is 1 at every p not dividing N (see NContext)
-    out = []
-    for p, j in N_factors:
-        u, i = _split(d_u, p)
-        if _symbol_at_prime(u, i, -N // p**j, j, p) == -1:
-            out.append(p)
-    return tuple(out)
+            rest = ((c, 1),)
+        else:
+            continue
+        d_u = d_us[i]
+        for q, e in rest:
+            sym = kronecker(d_u, q) if q != 2 else 0
+            if sym == -1 and e % 2 or not sym and _flips(d_u, Ns[i], q, e):
+                supports[i].append(q)
+    return [tuple(s) for s in supports]
 
 
 # s_p with s_p^2 = Dtilde (mod p): every delta of a field sieves by it
@@ -260,12 +285,11 @@ def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
         return ((delta * s - r) * inv - lo) % p, ((-delta * s - r) * inv - lo) % p
 
     out = []
-    for branch, Nf in zip(branches, _factor_by_sieve(Ns, N_starts)):
-        n, N, d_u = branch[0], branch[1], branch[6]
-        support = _support(d_u, N, Nf)
+    d_us = [b[6] for b in branches]
+    for branch, support in zip(branches, _supports_by_sieve(Ns, d_us, N_starts)):
         if len(support) % 2 == 0:
             raise IntegralityViolation(
-                f"symbol support {support} of (d_u, -N) at (delta={delta}, n={n}) "
+                f"symbol support {support} of (d_u, -N) at (delta={delta}, n={branch[0]}) "
                 "has even size; product formula failed")
         out.append(NContext(dctx, *branch, support))
     return tuple(out)

@@ -224,10 +224,35 @@ def test_sieved_support_property(stem, b0):
 
 def test_sieve_hands_large_cofactors_to_factorize():
     # a cofactor of 10^8 or more may be composite: 10007 * 10009 has no
-    # prime factor below 10^4; a smaller one is prime
+    # prime factor below 10^4; a smaller one is prime.  Each N is paired
+    # with d_u prime to its primes and with d_u divisible by each of them,
+    # so both per-branch cofactor cases (q | d_u, q !| d_u) are reached.
+    cofactor_cases = Counter()
     for v in (10007 * 10009, 12 * 10007 * 10009, 2**5 * 9973**2, 2 * 99_999_989):
-        factors = cm_fields._factor_by_sieve([v], lambda p: (0,) if v % p == 0 else ())
-        assert factors == [list(factorize(v).factors)], v
+        primes = factorize(v).primes()
+        d_us = [-3, -4, -7, -20, -23, *(-k * p for p in primes for k in (1, 4, 7))]
+        for d_u in d_us:
+            [support] = cm_fields._supports_by_sieve(
+                [v], [d_u], lambda p: (0,) if v % p == 0 else ())
+            expected = tuple(p for p in primes if hilbert_symbol(d_u, -v, p) == -1)
+            assert support == expected, (v, d_u)
+            for q in primes:
+                if q > 10_000:
+                    cofactor_cases[d_u % q == 0, q in support] += 1
+    assert set(cofactor_cases) == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_d_u_is_linear_in_the_branch_index(corpus):
+    # the premise of deciding the symbol once per sieve class: within one
+    # delta, consecutive branches' d_u differ by exactly 4 delta
+    fields = [*corpus, validate(CMFieldParams(228, -21, 1, -22, 38))]
+    steps = 0
+    for field in fields:
+        for dctx in enumerate_delta(field):
+            d_us = [ctx.d_u for ctx in _n_contexts(field, dctx)]
+            assert all(b - a == 4 * dctx.delta for a, b in zip(d_us, d_us[1:])), field.params
+            steps += max(len(d_us) - 1, 0)
+    assert steps > 10_000
 
 
 def test_even_support_breaks_product_formula(monkeypatch):
@@ -242,6 +267,25 @@ def test_even_support_breaks_product_formula(monkeypatch):
             enumerate_n(field, enumerate_delta(field)[0], 2)
         out = io.StringIO()
         argv = ["intersect", "--field", '{"D":5,"alpha":[0,1],"beta":[1,1]}', "--ell", "2"]
+        assert main(argv, out=out) == EXIT_INTERNAL_INVARIANT
+        assert out.getvalue() == ""
+    finally:
+        _n_contexts.cache_clear()
+
+
+def test_flipped_class_symbol_breaks_product_formula(monkeypatch):
+    # the D = 13 field's branch (delta, n) = (1, -21) has N = 6 and d_u = -8:
+    # a class symbol flipped at p = 3 puts 3 beside 2 in its support
+    real = cm_fields.kronecker
+    monkeypatch.setattr(cm_fields, "kronecker",
+                        lambda a, n: -real(a, n) if n == 3 else real(a, n))
+    _n_contexts.cache_clear()
+    try:
+        field = validate(CMFieldParams(13, -3, 0, -3, 2))
+        with pytest.raises(IntegralityViolation, match="product formula"):
+            _n_contexts(field, enumerate_delta(field)[0])
+        out = io.StringIO()
+        argv = ["intersect", "--field", '{"D":13,"alpha":[-3,0],"beta":[-3,2]}', "--ell", "3"]
         assert main(argv, out=out) == EXIT_INTERNAL_INVARIANT
         assert out.getvalue() == ""
     finally:

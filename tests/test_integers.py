@@ -79,6 +79,75 @@ def test_strong_pseudoprime_to_bases_up_to_37():
     assert is_prime(399165290221) and is_prime(798330580441)
 
 
+def _strong_probable_prime(n, witnesses):
+    # the Miller-Rabin loop of is_prime on a given witness set, odd n > 41
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+ALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_4, PSI_5, PSI_6 = 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383
+
+
+def _thirteen_witness_is_prime(n):
+    # the reference for every band: trial division, then all 13 witnesses
+    if n in ALL_WITNESSES:
+        return True
+    return n > 1 and all(n % p for p in ALL_WITNESSES) \
+        and _strong_probable_prime(n, ALL_WITNESSES)
+
+
+def test_witness_switch_points_are_composite():
+    # Jaeschke (Math. Comp. 61, 1993): the least strong pseudoprimes to the
+    # first 4, 5 and 6 prime bases; is_prime switches witness sets at the
+    # first two, so each must fall to the next larger set
+    assert PSI_4 == 151 * 751 * 28351
+    for n, k in ((PSI_4, 4), (PSI_5, 5), (PSI_6, 6)):
+        assert _strong_probable_prime(n, ALL_WITNESSES[:k])
+        assert not _strong_probable_prime(n, ALL_WITNESSES[:k + 1])
+        assert not is_prime(n)
+        assert factorize(n).value() == n and len(factorize(n).factors) > 1
+
+
+def _chernick_carmichaels(lo, hi):
+    # (6k+1)(12k+1)(18k+1) is a Carmichael number when all three are prime
+    out = []
+    k = 1
+    while (n := (6 * k + 1) * (12 * k + 1) * (18 * k + 1)) < hi:
+        if n >= lo and all(map(_thirteen_witness_is_prime,
+                               (6 * k + 1, 12 * k + 1, 18 * k + 1))):
+            out.append(n)
+        k += 1
+    return out
+
+
+def test_witness_bands_agree_with_all_thirteen_witnesses():
+    rng = random.Random(12)
+    bands = ((43, PSI_4), (PSI_4, PSI_5), (PSI_5, 10**18))
+    for lo, hi in bands:
+        odd = [rng.randrange(lo, hi) | 1 for _ in range(400)]
+        carmichaels = _chernick_carmichaels(lo, min(hi, 10**15))
+        assert carmichaels, (lo, hi)
+        for n in odd + carmichaels:
+            assert is_prime(n) == _thirteen_witness_is_prime(n), n
+        assert not any(is_prime(n) for n in carmichaels)
+        # the band's random draws meet primes too
+        assert any(is_prime(n) for n in odd)
+
+
 def test_perfect_square_root():
     assert perfect_square_root(49) == 7
     assert perfect_square_root(8) is None
