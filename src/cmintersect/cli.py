@@ -9,13 +9,17 @@ once, and its values must be JSON integers.  Batch mode streams one line per
 record, the report or, for a bad record, an error naming the record's
 0-based index and its exit class, and exits with the largest class seen.
 All rationals are emitted as [numerator, denominator] pairs and output
-is byte-stable for identical inputs.
+is byte-stable for identical inputs.  Exit codes: 0 success, 1 selftest
+failures, 2 input errors, 3 hypothesis violations, 4 internal invariant
+failures, and 141 (128 + SIGPIPE, as a shell reports it) when the reader
+of stdout closes it early, which stops the run without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +34,7 @@ EXIT_SELFTEST_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_HYPOTHESIS_VIOLATED = 3
 EXIT_INTERNAL_INVARIANT = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _rat(x: Fraction) -> list[int]:
@@ -209,7 +214,18 @@ def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        code = _run(args, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
+
+def _run(args, out) -> int:
     if args.task == "selftest":
         from .selftest import run_selftest
         payload = run_selftest()

@@ -16,9 +16,11 @@ and checked against the product formula.  The support lies in the primes
 of N (see `NContext`), so only N is sieved, and the supports of all
 branches of one delta are decided in that sieve.  N is quadratic in the
 branch index, so the indices a prime divides form at most two residue
-classes (Pomerance's quadratic sieve, EUROCRYPT '84); d_u is linear in
-it, so d_u mod p is one residue on each class, and one Legendre symbol
-decides an odd p on a class where p does not divide d_u.
+classes (Pomerance's quadratic sieve, EUROCRYPT '84).  By the norm
+identity, (d_u, -N)_p = (d_x, -N)_p, and that is (d/p)^v_p(N) for
+whichever d of d_u, d_x is prime to p.  Both are linear in the branch
+index, so one symbol decides a whole class; only a branch where p
+divides both d_u and d_x takes the full Hilbert symbol.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._record import Record
-from .integers import (_TRIAL_PRIMES, _factor_rough, _is_prime_place, _split,
-                       _sqrt_mod_prime, _symbol_at_prime, kronecker,
+from .integers import (_TRIAL_PRIMES, _factor_rough, _is_prime_place,
+                       _sqrt_mod_prime, hilbert_symbol, kronecker,
                        perfect_square_root)
 from .quadratic_orders import discriminant_of
 
@@ -92,24 +94,21 @@ class NContext(Record):
     odd in size; the branch can contribute at ell only when the support
     is exactly (ell,).  It is left empty only on branches built by hand.
 
-    Every support prime divides N: away from N the symbol is 1 by the
-    norm identity d_x d_u - X^2 = 4N, X = t_x t_u - 2 t_xuv.
-    - odd p: both arguments are units, or p | d_u and X^2 = -4N (mod p)
-      makes -N a unit square;
-    - p = 2: -4N is a norm from Q(sqrt(d_u d_x)), so (d_u, -N)_2 =
-      (d_x, -N)_2.  An odd one of d_u, d_x is 1 mod 4, with symbol 1
-      against the unit -N.  If both are 0 mod 4, (X/2)^2 = 1 (mod 8)
-      gives -N = 1 - d_u d_x/4 (mod 8): -N = 1 (mod 8), or
+    The norm identity d_x d_u - X^2 = 4N, X = t_x t_u - 2 t_xuv, makes
+    -4N a norm from Q(sqrt(d_u d_x)), so (d_u, -N)_p = (d_x, -N)_p at
+    every p.  Let d be d_u when p does not divide it, else d_x.  When p
+    does not divide d, (d_u, -N)_p = (d/p)^v_p(N), p = 2 included: an odd
+    d is 1 mod 4, since d_u = t_u^2 and d_x = t_x^2 (mod 4).  So p is in
+    the support exactly when (d/p) = -1 and v_p(N) is odd.  The one case
+    left, p dividing both d_u and d_x, takes the full symbol, which is
+    also 1 away from N:
+    - odd p: X^2 = -4N (mod p) makes -N a unit square;
+    - p = 2: both are 0 mod 4, and (X/2)^2 = 1 (mod 8) gives
+      -N = 1 - d_u d_x/4 (mod 8): -N = 1 (mod 8), or
       v_2(d_u) = v_2(d_x) = 2 and -N = 5 (mod 8); either way
       (2^i u, -N)_2 = (-1)^(i omega(-N)) = 1.
-
-    The supports are decided while N is sieved.  Within one delta, d_u =
-    t_u^2 + 4 delta (step_0 + k) is linear in the branch index k, so on a
-    sieve class k = start (mod p) it has one residue mod p.  For odd
-    p not dividing d_u, (d_u, -N)_p = (d_u/p)^v_p(N): p is in the support
-    exactly when that class's Legendre symbol is -1 and v_p(N) is odd.
-    Evaluated branch by branch instead: p = 2, odd p dividing d_u on the
-    class, and the cofactor primes above the sieve limit.
+    So every support prime divides N, and the supports are decided while
+    N is sieved (see `_supports_by_sieve`).
     """
 
     delta_ctx: DeltaContext
@@ -179,23 +178,18 @@ def enumerate_delta(field: CMFieldData) -> tuple[DeltaContext, ...]:
     return tuple(out)
 
 
-def _flips(d_u: int, N: int, p: int, e: int) -> bool:
-    # (d_u, -N)_p == -1 for one branch, with p^e exactly dividing N
-    u, i = _split(d_u, p)
-    return _symbol_at_prime(u, i, -N // p**e, e, p) == -1
-
-
-def _supports_by_sieve(Ns: list[int], d_us: list[int], starts) -> list[tuple[int, ...]]:
+def _supports_by_sieve(Ns: list[int], d_us: list[int], d_xs: list[int],
+                       starts) -> list[tuple[int, ...]]:
     """The support of (d_us[i], -Ns[i]) of each branch, ascending.
 
-    Ns[i] > 0; d_us is linear in i, so d_us[i] mod p depends only on i
-    mod p.  starts(p) gives the residues mod p of the indices i with
-    p | Ns[i].  Every support prime divides N (see `NContext`).  On a
-    class where an odd p does not divide d_u, one Legendre symbol
-    decides every branch: (d_u, -N)_p = (d_u/p)^v_p(N).  p = 2 and odd p
-    dividing d_u on the class take the full local symbol branch by
-    branch; a cofactor prime above the sieve limit takes the same rule
-    as a class, with its own branch's Legendre symbol.
+    Ns[i] > 0; d_us and d_xs are linear in i with steps divisible by 4,
+    so their residues mod p (mod 8 at p = 2) depend only on i mod p.
+    starts(p) gives the residues mod p of the indices i with p | Ns[i].
+    Every support prime divides N, and with d = d_u when p does not
+    divide it, else d_x, (d_u, -N)_p = (d/p)^v_p(N) (see `NContext`): one
+    symbol decides a whole sieve class, and a cofactor prime above the
+    sieve limit takes the same rule with its own branch's d_u and d_x.
+    Only where p divides both does each branch take `hilbert_symbol`.
     """
     m = len(Ns)
     limit = min(10_000, math.isqrt(max(Ns)) + 1)
@@ -207,14 +201,15 @@ def _supports_by_sieve(Ns: list[int], d_us: list[int], starts) -> list[tuple[int
         for start in starts(p):
             if start >= m:  # the class begins past the last branch
                 continue
-            sym = kronecker(d_us[start], p) if p != 2 else 0
+            sym = kronecker(d_us[start], p) or kronecker(d_xs[start], p)
             for i in range(start, m, p):
                 v, e = cofactors[i] // p, 1
                 while v % p == 0:
                     v //= p
                     e += 1
                 cofactors[i] = v
-                if sym == -1 and e % 2 or not sym and _flips(d_us[i], Ns[i], p, e):
+                if (sym == -1 and e % 2
+                        or not sym and hilbert_symbol(d_us[i], -Ns[i], p) == -1):
                     supports[i].append(p)
     # no prime below limit is left, so a cofactor below limit^2 is prime
     for i, c in enumerate(cofactors):
@@ -224,10 +219,10 @@ def _supports_by_sieve(Ns: list[int], d_us: list[int], starts) -> list[tuple[int
             rest = ((c, 1),)
         else:
             continue
-        d_u = d_us[i]
         for q, e in rest:
-            sym = kronecker(d_u, q) if q != 2 else 0
-            if sym == -1 and e % 2 or not sym and _flips(d_u, Ns[i], q, e):
+            sym = kronecker(d_us[i], q) or kronecker(d_xs[i], q)
+            if (sym == -1 and e % 2
+                    or not sym and hilbert_symbol(d_us[i], -Ns[i], q) == -1):
                 supports[i].append(q)
     return [tuple(s) for s in supports]
 
@@ -286,7 +281,8 @@ def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
 
     out = []
     d_us = [b[6] for b in branches]
-    for branch, support in zip(branches, _supports_by_sieve(Ns, d_us, N_starts)):
+    d_xs = [b[7] for b in branches]
+    for branch, support in zip(branches, _supports_by_sieve(Ns, d_us, d_xs, N_starts)):
         if len(support) % 2 == 0:
             raise IntegralityViolation(
                 f"symbol support {support} of (d_u, -N) at (delta={delta}, n={branch[0]}) "

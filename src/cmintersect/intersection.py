@@ -10,13 +10,14 @@ exactly when some enumerated delta is divisible by ell.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ._record import Record
 from .cm_fields import (CMFieldData, NContext, _n_contexts, enumerate_delta,
                         enumerate_fu, enumerate_n)
 from .embedding_counts import EXACT, UPPER_BOUND, build_query, scrJ
-from .integers import factorize, is_prime, padic_val
+from .integers import is_prime, padic_val
 # unused here; perfbench/test_perfbench.py reads intersection.hilbert_symbol
 from .integers import hilbert_symbol  # noqa: F401
 from .local_roots import frakI
@@ -64,10 +65,17 @@ def _check_index_hypothesis(field: CMFieldData, ell: int) -> None:
     if index % ell == 0:
         raise IndexHypothesisViolated(
             f"index bound {index} is divisible by ell = {ell}")
-    for p, _ in factorize(index).factors:
-        if p <= field.params.D // 4:
-            raise IndexHypothesisViolated(
-                f"index bound {index} is divisible by {p} <= D/4")
+    # the first divisor found is the smallest prime factor; the search
+    # stops at D/4, so a huge index bound is never factored
+    bound = field.params.D // 4
+    for p in range(2, min(bound, math.isqrt(index)) + 1):
+        if index % p == 0:
+            break
+    else:
+        p = index  # prime, or free of primes <= D/4
+    if 1 < p <= bound:
+        raise IndexHypothesisViolated(
+            f"index bound {index} is divisible by {p} <= D/4")
 
 
 def intersection_number(field: CMFieldData, ell: int) -> IntersectionReport:

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import cmintersect
-from cmintersect.cli import (EXIT_HYPOTHESIS_VIOLATED, EXIT_INPUT_ERROR,
-                             EXIT_OK, main)
+from cmintersect.cli import (EXIT_BROKEN_PIPE, EXIT_HYPOTHESIS_VIOLATED,
+                             EXIT_INPUT_ERROR, EXIT_OK, main)
 
 WORKED = '{"D":5,"alpha":[0,1],"beta":[1,1]}'
 
@@ -310,3 +310,20 @@ def test_cli_import_leaves_out_dataclasses_and_selftest_code():
                           text=True, env=dict(os.environ, PYTHONPATH=package_root))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_closed_stdout_ends_the_run_without_a_traceback():
+    # the E3 table at ell = 7 is about 88 KB, more than a pipe holds, so
+    # the CLI is still writing when the reader closes its end
+    package_root = str(Path(cmintersect.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "cmintersect", "intersect", "--field",
+            '{"D":228,"alpha":[-21,1],"beta":[-22,38]}', "--ell", "7", "--format", "table"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=package_root))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert first == b"intersect ell=7: value = 115036/1 (upper-bound, monogenic)\n"
+    assert b"Traceback" not in stderr and b"Exception ignored" not in stderr, stderr

@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -222,44 +223,85 @@ def test_sieved_support_property(stem, b0):
             assert len(ctx.support) % 2 == 1
 
 
+def _branches_for(N, d_u):
+    # the d_x = 0, 1 (mod 4) with d_u d_x - X^2 = 4N for an X in
+    # [0, 4|d_u|); a prime q > 10^4 dividing d_u divides N, so q | X
+    step = math.prod(q for q in factorize(d_u).primes() if q > 10_000)
+    out = []
+    for X in range(0, 4 * -d_u, step):
+        d_x, r = divmod(X * X + 4 * N, d_u)
+        if r == 0 and d_x % 4 in (0, 1):
+            assert d_u * d_x - X * X == 4 * N
+            out.append(d_x)
+    return out
+
+
 def test_sieve_hands_large_cofactors_to_factorize():
     # a cofactor of 10^8 or more may be composite: 10007 * 10009 has no
     # prime factor below 10^4; a smaller one is prime.  Each N is paired
     # with d_u prime to its primes and with d_u divisible by each of them,
-    # so both per-branch cofactor cases (q | d_u, q !| d_u) are reached.
-    cofactor_cases = Counter()
-    for v in (10007 * 10009, 12 * 10007 * 10009, 2**5 * 9973**2, 2 * 99_999_989):
-        primes = factorize(v).primes()
-        d_us = [-3, -4, -7, -20, -23, *(-k * p for p in primes for k in (1, 4, 7))]
-        for d_u in d_us:
-            [support] = cm_fields._supports_by_sieve(
-                [v], [d_u], lambda p: (0,) if v % p == 0 else ())
-            expected = tuple(p for p in primes if hilbert_symbol(d_u, -v, p) == -1)
-            assert support == expected, (v, d_u)
-            for q in primes:
-                if q > 10_000:
-                    cofactor_cases[d_u % q == 0, q in support] += 1
+    # and d_x follows from the norm identity, so a cofactor prime q takes
+    # each route of the rule: q !| d_u, q | d_u only, q | d_u and d_x.
+    routes, cofactor_cases = Counter(), Counter()
+    for N in (10007 * 10009, 12 * 10007 * 10009, 2**5 * 9973**2, 2 * 99_999_989,
+              3 * 10007**2, 5 * 10007**3 * 10009):
+        primes = factorize(N).primes()
+        for d_u in (-3, -4, -7, -20, -23, *(-k * p for p in primes for k in (1, 3, 4, 7))):
+            if d_u % 4 > 1:  # not a discriminant
+                continue
+            for d_x in _branches_for(N, d_u):
+                [support] = cm_fields._supports_by_sieve(
+                    [N], [d_u], [d_x], lambda p: (0,) if N % p == 0 else ())
+                expected = tuple(p for p in factorize(2 * d_u * N).primes()
+                                 if hilbert_symbol(d_u, -N, p) == -1)
+                assert support == expected, (N, d_u, d_x)
+                for q in primes:
+                    if q > 10_000:
+                        routes[d_u % q == 0, d_x % q == 0] += 1
+                        cofactor_cases[d_u % q == 0, q in support] += 1
+    assert set(routes) == {(False, False), (False, True), (True, False), (True, True)}
     assert set(cofactor_cases) == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_d_u_is_linear_in_the_branch_index(corpus):
     # the premise of deciding the symbol once per sieve class: within one
-    # delta, consecutive branches' d_u differ by exactly 4 delta
+    # delta, consecutive branches' d_u differ by exactly 4 delta and their
+    # d_x by exactly -4
     fields = [*corpus, validate(CMFieldParams(228, -21, 1, -22, 38))]
     steps = 0
     for field in fields:
         for dctx in enumerate_delta(field):
-            d_us = [ctx.d_u for ctx in _n_contexts(field, dctx)]
-            assert all(b - a == 4 * dctx.delta for a, b in zip(d_us, d_us[1:])), field.params
-            steps += max(len(d_us) - 1, 0)
+            contexts = _n_contexts(field, dctx)
+            for a, b in zip(contexts, contexts[1:]):
+                assert b.d_u - a.d_u == 4 * dctx.delta, field.params
+                assert b.d_x - a.d_x == -4, field.params
+            steps += max(len(contexts) - 1, 0)
     assert steps > 10_000
 
 
+def test_d_u_and_d_x_have_one_symbol_against_minus_n(corpus):
+    # the norm identity makes -4N a norm from Q(sqrt(d_u d_x)), so the
+    # sieve may read the symbol from d_x where p divides d_u
+    fields = [*corpus, validate(CMFieldParams(228, -21, 1, -22, 38))]
+    places = 0
+    for field in fields:
+        for dctx in enumerate_delta(field):
+            for ctx in _n_contexts(field, dctx):
+                for p in factorize(ctx.N).primes():
+                    assert hilbert_symbol(ctx.d_u, -ctx.N, p) \
+                        == hilbert_symbol(ctx.d_x, -ctx.N, p), (field.params, ctx.n, p)
+                    places += 1
+    assert places > 30_000
+
+
 def test_even_support_breaks_product_formula(monkeypatch):
-    # a symbol flipped at p = 2 makes every support even in size
-    real = cm_fields._symbol_at_prime
-    monkeypatch.setattr(cm_fields, "_symbol_at_prime",
-                        lambda *args: -real(*args) if args[-1] == 2 else real(*args))
+    # a symbol flipped at p = 2, on the class route and on the full-symbol
+    # route alike, makes every support even in size
+    kronecker, hilbert = cm_fields.kronecker, cm_fields.hilbert_symbol
+    monkeypatch.setattr(cm_fields, "kronecker",
+                        lambda a, n: -kronecker(a, n) if n == 2 else kronecker(a, n))
+    monkeypatch.setattr(cm_fields, "hilbert_symbol",
+                        lambda a, b, v: -hilbert(a, b, v) if v == 2 else hilbert(a, b, v))
     _n_contexts.cache_clear()
     try:
         field = validate(WORKED)

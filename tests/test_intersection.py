@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmintersect import (EXACT, UPPER_BOUND, CMFieldParams,
+from cmintersect import (EXACT, UPPER_BOUND, CMFieldData, CMFieldParams,
                          IndexHypothesisViolated, NContext,
                          enumerate_candidate_primes, enumerate_delta,
                          enumerate_n, factorize, hilbert_symbol,
                          intersection_number, is_prime, mu_ell,
                          special_case_value, validate)
+from cmintersect import intersection
 from cmintersect.cm_fields import _n_contexts
 from cmintersect.intersection import MODE_INDEX_BOUND, MODE_MONOGENIC
 
@@ -88,6 +89,45 @@ def test_index_bound_mode():
     bad = CMFieldParams(13, -3, 0, -3, 2, index_bound=3)
     with pytest.raises(IndexHypothesisViolated):
         intersection_number(validate(bad), 2)
+
+
+def _index_check_by_factorize(index, D, ell):
+    # the rule as first written: factor the whole index bound
+    if index % ell == 0:
+        return f"index bound {index} is divisible by ell = {ell}"
+    for p, _ in factorize(index).factors:
+        if p <= D // 4:
+            return f"index bound {index} is divisible by {p} <= D/4"
+    return None
+
+
+def test_index_check_matches_factorize_rule():
+    indices = [*range(1, 300), 293 * 293, 3 * 10007, 10007, 10007 * 10009, 2**10, 97**3]
+    checked = 0
+    for D in (5, 8, 12, 13, 17, 21, 28, 40, 41, 60, 85, 120, 400, 1000, 1300, 40_100):
+        for ell in (2, 3, 5, 7, 13):
+            for index in indices:
+                field = CMFieldData(CMFieldParams(D, 0, 1, 1, 1, index), Dtilde=0, cK=0)
+                try:
+                    intersection._check_index_hypothesis(field, ell)
+                    message = None
+                except IndexHypothesisViolated as exc:
+                    message = str(exc)
+                assert message == _index_check_by_factorize(index, D, ell), (index, D, ell)
+                checked += message is not None
+    assert checked > 10_000
+
+
+def test_huge_index_bound_is_not_factored(monkeypatch):
+    # 10000000000000061 * 30000000000000029: D/4 = 1 leaves no prime to find
+    index = 300000000000002120000000000001769
+
+    def no_factoring(n):
+        raise AssertionError(f"the index bound {n} is factored")
+    monkeypatch.setattr(intersection, "factorize", no_factoring, raising=False)
+    report = intersection_number(validate(CMFieldParams(5, 0, 1, 1, 1, index_bound=index)), 2)
+    assert report.mode == MODE_INDEX_BOUND
+    assert report.value == Fraction(1)
 
 
 def test_report_value_shape(corpus):
