@@ -19,8 +19,11 @@ branch index, so the indices a prime divides form at most two residue
 classes (Pomerance's quadratic sieve, EUROCRYPT '84).  By the norm
 identity, (d_u, -N)_p = (d_x, -N)_p, and that is (d/p)^v_p(N) for
 whichever d of d_u, d_x is prime to p.  Both are linear in the branch
-index, so one symbol decides a whole class; only a branch where p
-divides both d_u and d_x takes the full Hilbert symbol.
+index, so one Legendre symbol, read by Euler's criterion (one C-level
+`pow`), decides a whole class.  A branch where p divides both d_u and
+d_x takes the local symbol from the valuation v_p(N) the sieve has just
+found, so `cm_fields` itself calls neither `hilbert_symbol` nor
+`kronecker`.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._record import Record
-from .integers import (_TRIAL_PRIMES, _factor_rough, _is_prime_place,
-                       _sqrt_mod_prime, hilbert_symbol, kronecker,
+from .integers import (_TRIAL_PRIMES, _factor_rough, _is_prime_place, _legendre,
+                       _split, _sqrt_mod_prime, _symbol_at_prime,
                        perfect_square_root)
 from .quadratic_orders import discriminant_of
 
@@ -99,9 +102,11 @@ class NContext(Record):
     every p.  Let d be d_u when p does not divide it, else d_x.  When p
     does not divide d, (d_u, -N)_p = (d/p)^v_p(N), p = 2 included: an odd
     d is 1 mod 4, since d_u = t_u^2 and d_x = t_x^2 (mod 4).  So p is in
-    the support exactly when (d/p) = -1 and v_p(N) is odd.  The one case
-    left, p dividing both d_u and d_x, takes the full symbol, which is
-    also 1 away from N:
+    the support exactly when (d/p) = -1 and v_p(N) is odd; the sieve
+    reads (d/p) by Euler's criterion.  The one case left, p dividing
+    both d_u and d_x, takes the local symbol of d_u = u p^a against
+    -N = -(N/p^e) p^e, where the sieve has just found e = v_p(N).  This
+    symbol is also 1 at a p that does not divide N:
     - odd p: X^2 = -4N (mod p) makes -N a unit square;
     - p = 2: both are 0 mod 4, and (X/2)^2 = 1 (mod 8) gives
       -N = 1 - d_u d_x/4 (mod 8): -N = 1 (mod 8), or
@@ -187,9 +192,11 @@ def _supports_by_sieve(Ns: list[int], d_us: list[int], d_xs: list[int],
     starts(p) gives the residues mod p of the indices i with p | Ns[i].
     Every support prime divides N, and with d = d_u when p does not
     divide it, else d_x, (d_u, -N)_p = (d/p)^v_p(N) (see `NContext`): one
-    symbol decides a whole sieve class, and a cofactor prime above the
-    sieve limit takes the same rule with its own branch's d_u and d_x.
-    Only where p divides both does each branch take `hilbert_symbol`.
+    Legendre symbol by Euler's criterion decides a whole sieve class, and
+    a cofactor prime above the sieve limit takes the same rule with its
+    own branch's d_u and d_x.  Where p divides both, each branch takes
+    the local symbol from the valuation e = v_p(N) that the sieve has
+    just found, against the p-unit -N/p^e.
     """
     m = len(Ns)
     limit = min(10_000, math.isqrt(max(Ns)) + 1)
@@ -201,7 +208,7 @@ def _supports_by_sieve(Ns: list[int], d_us: list[int], d_xs: list[int],
         for start in starts(p):
             if start >= m:  # the class begins past the last branch
                 continue
-            sym = kronecker(d_us[start], p) or kronecker(d_xs[start], p)
+            sym = _legendre(d_us[start], p) or _legendre(d_xs[start], p)
             for i in range(start, m, p):
                 v, e = cofactors[i] // p, 1
                 while v % p == 0:
@@ -209,7 +216,7 @@ def _supports_by_sieve(Ns: list[int], d_us: list[int], d_xs: list[int],
                     e += 1
                 cofactors[i] = v
                 if (sym == -1 and e % 2
-                        or not sym and hilbert_symbol(d_us[i], -Ns[i], p) == -1):
+                        or not sym and _local_symbol(d_us[i], Ns[i], e, p) == -1):
                     supports[i].append(p)
     # no prime below limit is left, so a cofactor below limit^2 is prime
     for i, c in enumerate(cofactors):
@@ -220,15 +227,30 @@ def _supports_by_sieve(Ns: list[int], d_us: list[int], d_xs: list[int],
         else:
             continue
         for q, e in rest:
-            sym = kronecker(d_us[i], q) or kronecker(d_xs[i], q)
+            sym = _legendre(d_us[i], q) or _legendre(d_xs[i], q)
             if (sym == -1 and e % 2
-                    or not sym and hilbert_symbol(d_us[i], -Ns[i], q) == -1):
+                    or not sym and _local_symbol(d_us[i], Ns[i], e, q) == -1):
                 supports[i].append(q)
     return [tuple(s) for s in supports]
 
 
-# s_p with s_p^2 = Dtilde (mod p): every delta of a field sieves by it
-_sqrt_dtilde_mod_prime = lru_cache(maxsize=4096)(_sqrt_mod_prime)
+def _local_symbol(d_u: int, N: int, e: int, p: int) -> int:
+    # (d_u, -N)_p for a prime p with p^e || N, from the sieve's own e
+    u, a = _split(d_u, p)
+    return _symbol_at_prime(u, a, -(N // p**e), e, p)
+
+
+@lru_cache(maxsize=4096)
+def _sieve_roots(D: int, Dt: int, p: int):
+    """(s_p (2D)^-1, (2D)^-1) mod p, s_p^2 = Dtilde, or None if there is no s_p.
+
+    For p prime to 2D Dtilde; every delta of a field sieves by these.
+    """
+    s = _sqrt_mod_prime(Dt, p)
+    if s is None:
+        return None
+    inv = pow(2 * D, -1, p)
+    return s * inv % p, inv
 
 
 @lru_cache(maxsize=4096)
@@ -269,15 +291,17 @@ def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
     # (r + 2Dk)^2 = delta^2 Dtilde (mod p); primes dividing 2D delta
     # Dtilde are found by testing one period.
     Ns = [b[1] for b in branches]
+    g = 2 * D * delta * Dt
 
     def N_starts(p):
-        if (2 * D * delta * Dt) % p == 0:
+        if g % p == 0:
             return [i for i in range(min(p, len(Ns))) if Ns[i] % p == 0]
-        s = _sqrt_dtilde_mod_prime(Dt, p)
-        if s is None:
+        roots = _sieve_roots(D, Dt, p)
+        if roots is None:
             return ()
-        inv = pow(2 * D, -1, p)
-        return ((delta * s - r) * inv - lo) % p, ((-delta * s - r) * inv - lo) % p
+        s_inv, inv = roots
+        base = -r * inv - lo
+        return (base + delta * s_inv) % p, (base - delta * s_inv) % p
 
     out = []
     d_us = [b[6] for b in branches]

@@ -226,12 +226,32 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _legendre(d: int, p: int) -> int:
+    """(d | p) for a prime p, equal to `kronecker(d, p)`.
+
+    Odd p: Euler's criterion, d^((p-1)/2) mod p, one C-level `pow`.  Any
+    result other than 0, 1 or p - 1 proves p composite, and raises
+    (`is_prime` is only probable above 3.317e24).  p = 2: the Kronecker
+    value, read from d mod 8.
+    """
+    if p == 2:
+        return 0 if d % 2 == 0 else 1 if d % 8 in (1, 7) else -1
+    r = pow(d, (p - 1) // 2, p)
+    if r == 1:
+        return 1
+    if r == p - 1:
+        return -1
+    if r == 0:
+        return 0
+    raise ValueError(f"{p} is not prime: Euler's criterion gave {r}")
+
+
 def _sqrt_mod_prime(a: int, p: int):
     """A square root of a mod p (odd prime), or None.  Tonelli-Shanks."""
     a %= p
     if a == 0:
         return 0
-    if kronecker(a, p) != 1:
+    if _legendre(a, p) != 1:
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -241,7 +261,7 @@ def _sqrt_mod_prime(a: int, p: int):
         q //= 2
         s += 1
     z = 2
-    while kronecker(z, p) != -1:
+    while _legendre(z, p) != -1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:

@@ -14,13 +14,14 @@ from cmintersect import (BadRealDiscriminant, CMFieldData, CMFieldParams,
                          IntegralityViolation, NContext, NotPrimitive,
                          NotTotallyImaginary, congruence_constant,
                          discriminant_of, enumerate_delta, enumerate_fu,
-                         enumerate_n, factorize, hilbert_symbol, padic_val,
-                         perfect_square_root, t_pair, validate)
-from cmintersect import cm_fields
+                         enumerate_n, factorize, hilbert_symbol, kronecker,
+                         padic_val, perfect_square_root, t_pair, validate)
+from cmintersect import cm_fields, integers
 from cmintersect.cm_fields import _n_contexts
+from cmintersect.integers import _TRIAL_PRIMES
 from cmintersect.cli import EXIT_INTERNAL_INVARIANT, main
 
-from test_integers import PROPERTY
+from test_integers import PROPERTY, PSI_13
 
 WORKED = CMFieldParams(5, 0, 1, 1, 1)
 
@@ -263,6 +264,79 @@ def test_sieve_hands_large_cofactors_to_factorize():
     assert set(cofactor_cases) == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_sieve_refutes_a_pseudoprime_cofactor():
+    # PSI_13 passes all 13 Miller-Rabin witnesses, so the cofactor step
+    # takes it for a prime; Euler's criterion at d_u = -43 shows it is
+    # not, and the sieve raises instead of reading a Jacobi symbol as -1
+    N = 2 * PSI_13
+    with pytest.raises(ValueError, match="not prime"):
+        cm_fields._supports_by_sieve([N], [-43], [-43], lambda p: (0,) if N % p == 0 else ())
+
+
+# pairs of fields with one Dtilde and two values of D: the sieve's roots
+# s_p (2D)^-1 and (2D)^-1 mod p depend on D as well as on Dtilde
+SHARED_DTILDE = (
+    (CMFieldParams(24, -3, 1, -1, 3), CMFieldParams(12, -3, 0, -2, 3)),
+    (CMFieldParams(12, -3, 0, -1, 3), CMFieldParams(8, -3, 1, 3, 3)),
+    (CMFieldParams(28, -4, 1, 1, 3), CMFieldParams(12, -1, 0, 4, 2)),
+    (CMFieldParams(24, -4, 0, -3, 2), CMFieldParams(29, -2, 0, 3, 1)),
+)
+
+
+def test_sieve_roots_depend_on_d():
+    cm_fields._sieve_roots.cache_clear()
+    _n_contexts.cache_clear()
+    try:
+        branches = 0
+        for pair in SHARED_DTILDE:
+            first, second = (validate(params) for params in pair)
+            assert first.Dtilde == second.Dtilde and first.params.D != second.params.D
+            for field in (first, second):
+                D, Dt = field.params.D, field.Dtilde
+                for p in _TRIAL_PRIMES[1:200]:
+                    if (2 * D * Dt) % p == 0:
+                        continue
+                    roots = cm_fields._sieve_roots(D, Dt, p)
+                    if roots is None:
+                        assert kronecker(Dt, p) == -1, (D, p)
+                        continue
+                    s_inv, inv = roots
+                    assert 2 * D * inv % p == 1, (D, p)
+                    assert (2 * D * s_inv) ** 2 % p == Dt % p, (D, p)
+                for dctx in enumerate_delta(field):
+                    for ctx in _n_contexts(field, dctx):
+                        assert ctx.support == _support_by_factorize(ctx), (field.params, ctx.n)
+                        branches += 1
+        assert branches > 200
+    finally:
+        _n_contexts.cache_clear()
+
+
+def test_e3_branches_take_no_public_symbol(monkeypatch):
+    # the sieve reads every symbol from integers it holds: Euler's
+    # criterion on a class, the local symbol where p divides d_u and d_x;
+    # only that local symbol still runs the binary Kronecker algorithm
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in ("hilbert_symbol", "kronecker"):
+        monkeypatch.setattr(integers, name, counted(name, getattr(integers, name)))
+    _n_contexts.cache_clear()
+    try:
+        field = validate(CMFieldParams(228, -21, 1, -22, 38))
+        branches = sum(len(_n_contexts(field, dctx)) for dctx in enumerate_delta(field))
+    finally:
+        _n_contexts.cache_clear()
+    assert branches == 11823
+    assert calls["hilbert_symbol"] == 0
+    assert 0 < calls["kronecker"] < branches // 4
+
+
 def test_d_u_is_linear_in_the_branch_index(corpus):
     # the premise of deciding the symbol once per sieve class: within one
     # delta, consecutive branches' d_u differ by exactly 4 delta and their
@@ -295,13 +369,15 @@ def test_d_u_and_d_x_have_one_symbol_against_minus_n(corpus):
 
 
 def test_even_support_breaks_product_formula(monkeypatch):
-    # a symbol flipped at p = 2, on the class route and on the full-symbol
-    # route alike, makes every support even in size
-    kronecker, hilbert = cm_fields.kronecker, cm_fields.hilbert_symbol
-    monkeypatch.setattr(cm_fields, "kronecker",
-                        lambda a, n: -kronecker(a, n) if n == 2 else kronecker(a, n))
-    monkeypatch.setattr(cm_fields, "hilbert_symbol",
-                        lambda a, b, v: -hilbert(a, b, v) if v == 2 else hilbert(a, b, v))
+    # a symbol flipped at p = 2, on the class route (the Legendre helper)
+    # and on the local-symbol route (p | d_u and d_x) alike, makes every
+    # support even in size
+    legendre, local = cm_fields._legendre, cm_fields._symbol_at_prime
+    monkeypatch.setattr(cm_fields, "_legendre",
+                        lambda d, p: -legendre(d, p) if p == 2 else legendre(d, p))
+    monkeypatch.setattr(cm_fields, "_symbol_at_prime",
+                        lambda a, i, b, j, p: -local(a, i, b, j, p) if p == 2
+                        else local(a, i, b, j, p))
     _n_contexts.cache_clear()
     try:
         field = validate(WORKED)
@@ -318,9 +394,9 @@ def test_even_support_breaks_product_formula(monkeypatch):
 def test_flipped_class_symbol_breaks_product_formula(monkeypatch):
     # the D = 13 field's branch (delta, n) = (1, -21) has N = 6 and d_u = -8:
     # a class symbol flipped at p = 3 puts 3 beside 2 in its support
-    real = cm_fields.kronecker
-    monkeypatch.setattr(cm_fields, "kronecker",
-                        lambda a, n: -real(a, n) if n == 3 else real(a, n))
+    real = cm_fields._legendre
+    monkeypatch.setattr(cm_fields, "_legendre",
+                        lambda d, p: -real(d, p) if p == 3 else real(d, p))
     _n_contexts.cache_clear()
     try:
         field = validate(CMFieldParams(13, -3, 0, -3, 2))

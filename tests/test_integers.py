@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cmintersect import (INFINITY, Factorization, factorize, hilbert_symbol,
                          is_prime, kronecker, padic_val, perfect_square_root)
-from cmintersect.integers import _TRIAL_PRIMES, _split
+from cmintersect.integers import _TRIAL_PRIMES, _legendre, _split, _sqrt_mod_prime
 from cmintersect.oracles import hilbert_symbol_oracle
 
 NONZERO = st.integers(-10**6, 10**6).filter(bool)
@@ -173,6 +173,67 @@ def test_kronecker_against_square_enumeration():
         for a in range(-20, 21):
             expected = 0 if a % p == 0 else (1 if a % p in squares else -1)
             assert kronecker(a, p) == expected, (a, p)
+
+
+# primes above 10^8, two of them above is_prime's deterministic bound 3.317e24
+LARGE_PRIMES = (100_000_007, 998_244_353, 1_000_000_007, 2**31 - 1, 10**12 + 39,
+                2**61 - 1, 2**89 - 1, 2**127 - 1)
+# the first strong pseudoprime to the 13 witnesses 2, ..., 41 (Sorenson and
+# Webster, Math. Comp. 2017): 1287836182261 * 2575672364521
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def test_legendre_matches_kronecker_at_every_prime_below_ten_thousand():
+    rng = random.Random(14)
+    for p in _TRIAL_PRIMES:
+        if p < 200:
+            ds = range(-2 * p, 2 * p + 1)
+        else:
+            ds = (0, 1, -1, 2, -2, 3, -3, 5, -8, p - 1, -p + 1, p + 1, -p - 1, 2 * p, -3 * p,
+                  p * p, *(rng.randrange(-10**12, 10**12) for _ in range(12)))
+        for d in ds:
+            assert _legendre(d, p) == kronecker(d, p), (d, p)
+
+
+@PROPERTY
+@given(st.sampled_from(_TRIAL_PRIMES) | st.sampled_from(LARGE_PRIMES),
+       st.integers(-10**40, 10**40), st.booleans())
+def test_legendre_matches_kronecker_property(p, d, divisible):
+    assert is_prime(p)
+    if divisible:
+        d *= p
+    assert _legendre(d, p) == kronecker(d, p)
+
+
+def test_legendre_raises_on_composite_moduli():
+    # every odd composite n has a d with d^((n-1)/2) outside {0, 1, n - 1}:
+    # a d divisible by one prime of n and not another, or, for a prime
+    # power, a unit outside the subgroup of order p - 1
+    for n in range(9, 3000, 2):
+        if is_prime(n):
+            continue
+        with pytest.raises(ValueError, match="not prime"):
+            for d in range(2, n):
+                _legendre(d, n)
+    # is_prime passes PSI_13; Euler's criterion must refute it, not read -1
+    assert is_prime(PSI_13)
+    for d in (2, 3, -3, 41):  # witness bases: +-1, as at a prime
+        assert _legendre(d, PSI_13) in (1, -1)
+    for d in (43, -43, 47, 53):
+        with pytest.raises(ValueError, match="not prime"):
+            _legendre(d, PSI_13)
+
+
+def test_sqrt_mod_prime_is_none_exactly_on_non_residues():
+    for p in _TRIAL_PRIMES[1:109]:  # the odd primes below 600
+        squares = {x * x % p for x in range(p)}
+        for a in range(-p, 2 * p):
+            r = _sqrt_mod_prime(a, p)
+            if a % p in squares:
+                assert r is not None and r * r % p == a % p, (a, p)
+            else:
+                assert r is None, (a, p)
+    assert _TRIAL_PRIMES[108] < 600 < _TRIAL_PRIMES[109]
 
 
 def test_hilbert_symbol_examples():

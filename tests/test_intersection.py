@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -212,6 +214,16 @@ def test_candidate_primes_match_bruteforce(corpus):
         assert cands == _candidate_primes_bruteforce(field), field.params
         witnessed += len(cands)
     assert witnessed > 100
+
+
+def test_candidate_primes_of_e3_are_pinned():
+    # E3 of ROADMAP.md: the digest pins every prime and every witness
+    field = validate(CMFieldParams(228, -21, 1, -22, 38))
+    cands = enumerate_candidate_primes(field)
+    assert len(cands) == 2120
+    assert sum(len(witnesses) for _, witnesses in cands) == 7653
+    digest = hashlib.sha256(json.dumps(cands).encode()).hexdigest()
+    assert digest == "7a9b17937795e668a8e91534cf84b6d2efec165ed77120be87be6e20d47d00e2"
 
 
 def test_candidate_primes_divide_a_norm():
