@@ -187,9 +187,12 @@ def _supports_by_sieve(Ns: list[int], d_us: list[int], d_xs: list[int],
                        starts) -> list[tuple[int, ...]]:
     """The support of (d_us[i], -Ns[i]) of each branch, ascending.
 
-    Ns[i] > 0; d_us and d_xs are linear in i with steps divisible by 4,
-    so their residues mod p (mod 8 at p = 2) depend only on i mod p.
-    starts(p) gives the residues mod p of the indices i with p | Ns[i].
+    Ns[i] > 0 is an integer polynomial in i, so p | Ns[i] depends only
+    on i mod p; d_us and d_xs are linear in i with steps divisible by 4,
+    so their residues mod p (mod 8 at p = 2) depend only on i mod p too.
+    starts(p) gives the residues mod p of the indices i with p | Ns[i];
+    a class whose first N is not divisible by p raises
+    `IntegralityViolation`.
     Every support prime divides N, and with d = d_u when p does not
     divide it, else d_x, (d_u, -N)_p = (d/p)^v_p(N) (see `NContext`): one
     Legendre symbol by Euler's criterion decides a whole sieve class, and
@@ -208,6 +211,12 @@ def _supports_by_sieve(Ns: list[int], d_us: list[int], d_xs: list[int],
         for start in starts(p):
             if start >= m:  # the class begins past the last branch
                 continue
+            # one check covers the class; a wrong class would floor the
+            # cofactors to 0, and the loop below would then never end
+            if Ns[start] % p:
+                raise IntegralityViolation(
+                    f"sieve class {start} mod {p} holds N = {Ns[start]}, "
+                    f"which {p} does not divide")
             sym = _legendre(d_us[start], p) or _legendre(d_xs[start], p)
             for i in range(start, m, p):
                 v, e = cofactors[i] // p, 1

@@ -303,9 +303,9 @@ def _symbol_at_prime(a: int, alpha: int, b: int, beta: int, p: int) -> int:
         return -1 if exp % 2 else 1
     sym = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
     if beta % 2:
-        sym *= kronecker(a, p)
+        sym *= _legendre(a, p)
     if alpha % 2:
-        sym *= kronecker(b, p)
+        sym *= _legendre(b, p)
     return sym
 
 
@@ -313,7 +313,10 @@ def hilbert_symbol(a, b, place) -> int:
     """Hilbert symbol (a, b)_v over the completion at v.
 
     v is a prime int or INFINITY.  a, b may be ints or Fractions, both
-    nonzero; a Fraction a/c is evaluated as the integer a*c.
+    nonzero; a Fraction a/c is evaluated as the integer a*c.  A v that
+    `is_prime` passes above its deterministic bound but that Euler's
+    criterion shows composite raises ValueError, as any other v that is
+    not prime does.
     """
     a, b = _square_class_int(a), _square_class_int(b)
     if a == 0 or b == 0:

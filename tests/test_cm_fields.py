@@ -1,14 +1,19 @@
 import io
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cmintersect
 from cmintersect import (BadRealDiscriminant, CMFieldData, CMFieldParams,
                          DeltaContext, FieldValidationError,
                          IntegralityViolation, NContext, NotPrimitive,
@@ -273,6 +278,22 @@ def test_sieve_refutes_a_pseudoprime_cofactor():
         cm_fields._supports_by_sieve([N], [-43], [-43], lambda p: (0,) if N % p == 0 else ())
 
 
+def test_sieve_refuses_a_class_the_prime_does_not_divide():
+    # 3 does not divide N = 100, so starts(3) is wrong; unchecked, the
+    # cofactor floors to 0 and the sieve never returns, so the call runs
+    # in its own process under a time limit
+    package_root = str(Path(cmintersect.__file__).resolve().parent.parent)
+    code = ("from cmintersect.cm_fields import IntegralityViolation, _supports_by_sieve\n"
+            "try:\n"
+            "    _supports_by_sieve([100], [-3], [-8], lambda p: (0,))\n"
+            "except IntegralityViolation as exc:\n"
+            "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=dict(os.environ, PYTHONPATH=package_root))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "sieve class 0 mod 3 holds N = 100, which 3 does not divide\n"
+
+
 # pairs of fields with one Dtilde and two values of D: the sieve's roots
 # s_p (2D)^-1 and (2D)^-1 mod p depend on D as well as on Dtilde
 SHARED_DTILDE = (
@@ -314,8 +335,8 @@ def test_sieve_roots_depend_on_d():
 
 def test_e3_branches_take_no_public_symbol(monkeypatch):
     # the sieve reads every symbol from integers it holds: Euler's
-    # criterion on a class, the local symbol where p divides d_u and d_x;
-    # only that local symbol still runs the binary Kronecker algorithm
+    # criterion on a class, the local symbol where p divides d_u and d_x,
+    # which reads its Legendre symbols by Euler's criterion too
     calls = Counter()
 
     def counted(name, real):
@@ -334,7 +355,7 @@ def test_e3_branches_take_no_public_symbol(monkeypatch):
         _n_contexts.cache_clear()
     assert branches == 11823
     assert calls["hilbert_symbol"] == 0
-    assert 0 < calls["kronecker"] < branches // 4
+    assert calls["kronecker"] == 0
 
 
 def test_d_u_is_linear_in_the_branch_index(corpus):
@@ -414,10 +435,10 @@ def test_enumerate_fu_examples():
     field = validate(WORKED)
     ctx = enumerate_n(field, enumerate_delta(field)[0], 2)[0]
     assert enumerate_fu(ctx, 2) == (1,)      # d_u = -3 squarefree
-    synthetic = NContext(**{**vars(ctx), "d_u": -12})
+    synthetic = NContext(**dict(zip(NContext._fields, ctx), d_u=-12))
     assert enumerate_fu(synthetic, 5) == (1, 2)
     assert enumerate_fu(synthetic, 2) == (2,)
-    synthetic = NContext(**{**vars(ctx), "d_u": -144})
+    synthetic = NContext(**dict(zip(NContext._fields, ctx), d_u=-144))
     # f_u^2 | -144 with valid quotient: f_u in {1, 2, 3, 6}; quotients
     # -144, -36, -16, -4 have conductors 6, 3, 2, 1
     assert enumerate_fu(synthetic, 5) == (1, 2, 3, 6)

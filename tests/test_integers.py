@@ -222,6 +222,9 @@ def test_legendre_raises_on_composite_moduli():
     for d in (43, -43, 47, 53):
         with pytest.raises(ValueError, match="not prime"):
             _legendre(d, PSI_13)
+    # the public symbol at that place raises the same way
+    with pytest.raises(ValueError, match="not prime"):
+        hilbert_symbol(43, PSI_13, PSI_13)
 
 
 def test_sqrt_mod_prime_is_none_exactly_on_non_residues():

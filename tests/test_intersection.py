@@ -26,9 +26,9 @@ def test_mu_worked_example():
 
 def test_mu_branch_cases():
     ctx = enumerate_n(WORKED, enumerate_delta(WORKED)[0], 2)[0]
-    both = NContext(**{**vars(ctx), "N": 8, "d_u": -4, "d_x": -8})  # v_2(8) = 3, 2 | both
+    both = NContext(**dict(zip(NContext._fields, ctx), N=8, d_u=-4, d_x=-8))  # v_2(8) = 3, 2 | both
     assert mu_ell(both, 2) == Fraction(3)
-    one = NContext(**{**vars(ctx), "N": 4, "d_u": -3, "d_x": -8})   # v_2(4) = 2, 2 misses d_u
+    one = NContext(**dict(zip(NContext._fields, ctx), N=4, d_u=-3, d_x=-8))   # v_2(4) = 2, 2 misses d_u
     assert mu_ell(one, 2) == Fraction(3, 2)
 
 

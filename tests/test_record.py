@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -105,6 +107,30 @@ def test_other_types_never_compare_equal():
     assert IdealTriple(2, 1, 1, 1) != PMatrix(2, 1, 1, 1)
     assert not IdealTriple(2, 1, 1, 1) == PMatrix(2, 1, 1, 1)
     assert CountResult(1, EXACT) != Factorization(1, EXACT)
+    # reflected: a record is a tuple, but the tuple on the left must not
+    # decide equality by its values
+    assert (5, 0, 1, 1, 1, 1) != params
+    assert not (5, 0, 1, 1, 1, 1) == params
+    assert not params != CMFieldParams(5, 0, 1, 1, 1, 1)
+    # unequal classes, in both directions
+    triple, matrix = IdealTriple(2, 1, 1, 1), PMatrix(2, 1, 1, 1)
+    assert matrix != triple and not matrix == triple
+    assert Factorization(1, EXACT) != CountResult(1, EXACT)
+    # records are not ordered, against records or tuples, either side
+    for left, right in ((params, params), (params, (6,)), ((6,), params),
+                        (triple, matrix)):
+        with pytest.raises(TypeError):
+            left < right
+
+
+@pytest.mark.parametrize("cls, fields, text", SAMPLES, ids=IDS)
+def test_pickle_and_copy_give_equal_records(cls, fields, text):
+    x = cls(**fields)
+    copies = [copy.copy(x), copy.deepcopy(x)]
+    copies += [pickle.loads(pickle.dumps(x, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for y in copies:
+        assert type(y) is cls and y == x and repr(y) == text
 
 
 def test_defaults():
