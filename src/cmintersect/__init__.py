@@ -23,6 +23,6 @@ from .intersection import (ContributionRow, IndexHypothesisViolated,
 from .local_roots import count_roots_mod_pk, frakI
 from .quadratic_orders import (QuadDiscriminant, count_all_ideals,
                                count_invertible_ideals, discriminant_of,
-                               rho2, rho_simplified, two_power_factor)
+                               rho2, two_power_factor)
 
 __version__ = "0.1.0"

@@ -234,7 +234,8 @@ def _run(args, out) -> int:
 
     try:
         records = _load_field_records(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: json.loads on a document nested too deeply
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

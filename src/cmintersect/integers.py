@@ -5,7 +5,8 @@ on the standard local formulas; its brute-force solvability oracle is
 `oracles.hilbert_symbol_oracle`.  The closed form runs on integers only:
 a Fraction a/c enters as a*c, which lies in the same square class, and
 the power of p and the unit residues are read off with integer
-arithmetic.
+arithmetic.  `kronecker` and `hilbert_symbol` are public for callers,
+tests and tracers; the engine reads every symbol through `_legendre`.
 """
 
 from __future__ import annotations

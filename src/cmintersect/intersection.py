@@ -17,11 +17,11 @@ from ._record import Record
 from .cm_fields import (CMFieldData, NContext, _n_contexts, enumerate_delta,
                         enumerate_fu, enumerate_n)
 from .embedding_counts import EXACT, UPPER_BOUND, build_query, scrJ
-from .integers import is_prime, padic_val
+from .integers import factorize, is_prime, padic_val
 # unused here; perfbench/test_perfbench.py reads intersection.hilbert_symbol
 from .integers import hilbert_symbol  # noqa: F401
 from .local_roots import frakI
-from .quadratic_orders import count_all_ideals, discriminant_of, rho_simplified
+from .quadratic_orders import count_all_ideals, discriminant_of
 
 MODE_MONOGENIC = "monogenic"
 MODE_INDEX_BOUND = "index-bound"
@@ -153,7 +153,12 @@ def special_case_value(field: CMFieldData, ell: int):
 
     Returns None unless the hypotheses hold for every enumerated branch;
     the branch constant here is 1/2 (not 2) when 4 delta = D, following
-    the simplified statement's own convention.
+    the simplified statement's own convention.  Only branches whose
+    support holds no prime but ell are summed (`vanishing_test`'s rule),
+    with weight 2^#{p | d_u, p | N, p != ell}.  The others add 0: a
+    support prime p != ell dividing d_u is the statement's own zero, and
+    one prime to d_u has (d_u/p) = -1 with v_p(N/ell) odd, a factor 0
+    of the ideal count.
     """
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
@@ -162,17 +167,17 @@ def special_case_value(field: CMFieldData, ell: int):
     deltas = enumerate_delta(field)
     if any(dctx.delta % ell == 0 for dctx in deltas):
         return None
-    branches = []
+    total = Fraction(0)
     for dctx in deltas:
+        c_delta = Fraction(1, 2) if 4 * dctx.delta == field.params.D else Fraction(1)
         for nctx in enumerate_n(field, dctx, ell):
             disc = discriminant_of(nctx.d_u)
             if disc.f != 1:
                 return None
-            branches.append((dctx, nctx, disc))
-    total = Fraction(0)
-    for dctx, nctx, disc in branches:
-        c_delta = Fraction(1, 2) if 4 * dctx.delta == field.params.D else Fraction(1)
-        rho = rho_simplified(disc, nctx.N, ell)
-        ideal_count = count_all_ideals(disc, nctx.N // ell) if nctx.N // ell >= 1 else 0
-        total += c_delta * mu_ell(nctx, ell) * rho * ideal_count
+            if any(p != ell for p in nctx.support):
+                continue
+            shared = sum(1 for p in factorize(disc.d).primes()
+                         if p != ell and nctx.N % p == 0)
+            total += (c_delta * mu_ell(nctx, ell) * 2**shared
+                      * count_all_ideals(disc, nctx.N // ell))
     return total

@@ -12,7 +12,7 @@ arbitrates it in the tests.
 from __future__ import annotations
 
 from ._record import Record
-from .integers import factorize, hilbert_symbol, is_prime, kronecker, padic_val
+from .integers import _legendre, factorize, padic_val
 from .local_roots import _count
 
 
@@ -45,7 +45,7 @@ def _local_count(d: int, f: int, p: int, k: int, invertible_only: bool) -> int:
     if k == 0:
         return 1
     if f % p:
-        chi = kronecker(d, p)
+        chi = _legendre(d, p)
         if chi == 1:
             return k + 1
         if chi == -1:
@@ -115,26 +115,3 @@ def rho2(disc: QuadDiscriminant, s0, s1) -> int:
     second = d % 32 == 0 and (s0 - 2 * s1).numerator % 4 == 0
     return 2 ** (first + second)
 
-
-def rho_simplified(disc: QuadDiscriminant, M: int, ell: int) -> int:
-    """Vanishing-or-power-of-two weight for fundamental discriminants.
-
-    0 when (d, -M)_p = -1 at some p | d, p != ell; otherwise 2 to the
-    number of primes p | gcd(d, M) with p != ell.
-    """
-    if disc.f != 1:
-        raise ValueError("defined for fundamental discriminants only")
-    if M < 1:
-        raise ValueError("norm must be positive")
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    d = disc.d
-    count = 0
-    for p, _ in factorize(d).factors:
-        if p == ell:
-            continue
-        if hilbert_symbol(d, -M, p) == -1:
-            return 0
-        if M % p == 0:
-            count += 1
-    return 2**count

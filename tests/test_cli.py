@@ -145,6 +145,19 @@ def test_batch_rejects_non_object_records(tmp_path, capsys):
     assert text.splitlines() == [f"error: record {i}: {message}" for i in range(3)]
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # json.loads raises RecursionError, not ValueError, on deep nesting
+    deep = "[" * 100_000
+    batch = tmp_path / "fields.json"
+    batch.write_text(deep)
+    for argv in (["intersect", "--field", deep, "--ell", "2"],
+                 ["intersect", "--batch", str(batch), "--ell", "2"]):
+        code, text = _run(argv)
+        assert code == EXIT_INPUT_ERROR
+        assert text == ""
+        assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_index_bound_flag_and_violation():
     code, text = _run(["intersect", "--field", WORKED, "--ell", "2",
                        "--index-bound", "3"])

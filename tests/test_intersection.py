@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmintersect import (EXACT, UPPER_BOUND, CMFieldData, CMFieldParams,
-                         IndexHypothesisViolated, NContext,
-                         enumerate_candidate_primes, enumerate_delta,
-                         enumerate_n, factorize, hilbert_symbol,
-                         intersection_number, is_prime, mu_ell,
-                         special_case_value, validate)
+                         IndexHypothesisViolated, NContext, count_all_ideals,
+                         discriminant_of, enumerate_candidate_primes,
+                         enumerate_delta, enumerate_n, factorize,
+                         hilbert_symbol, intersection_number, is_prime,
+                         mu_ell, special_case_value, validate)
 from cmintersect import intersection
 from cmintersect.cm_fields import _n_contexts
 from cmintersect.intersection import MODE_INDEX_BOUND, MODE_MONOGENIC
@@ -249,3 +251,71 @@ def test_special_case_hypotheses_not_met():
     # ell divides an enumerated delta
     field = validate(CMFieldParams(8, -3, -1, 2, 3))
     assert special_case_value(field, 2) is None
+
+
+PRIMES_TO_50 = [p for p in range(2, 51) if is_prime(p)]
+E3 = CMFieldParams(228, -21, 1, -22, 38)
+
+
+def _special_case_statement(field, ell):
+    # the simplified sum as stated: a branch weighs 0 when (d, -N)_p = -1
+    # at some p | d, p != ell, else 2^#{p | gcd(d, N), p != ell}
+    if field.params.index_bound != 1:
+        return None
+    deltas = enumerate_delta(field)
+    if any(dctx.delta % ell == 0 for dctx in deltas):
+        return None
+    total = Fraction(0)
+    for dctx in deltas:
+        c_delta = Fraction(1, 2) if 4 * dctx.delta == field.params.D else Fraction(1)
+        for ctx in enumerate_n(field, dctx, ell):
+            disc = discriminant_of(ctx.d_u)
+            if disc.f != 1:
+                return None
+            primes = [p for p in factorize(ctx.d_u).primes() if p != ell]
+            if any(hilbert_symbol(ctx.d_u, -ctx.N, p) == -1 for p in primes):
+                continue
+            weight = 2 ** sum(1 for p in primes if ctx.N % p == 0)
+            total += (c_delta * mu_ell(ctx, ell) * weight
+                      * count_all_ideals(disc, ctx.N // ell))
+    return total
+
+
+def test_special_case_equals_its_hilbert_symbol_statement(corpus):
+    e3 = validate(E3)
+    pairs = [(field, ell) for field in corpus for ell in PRIMES_TO_50]
+    pairs += [(e3, ell) for ell in (2, 3, 5, 7, 11, 13)]
+    values = Counter()
+    for field, ell in pairs:
+        value = special_case_value(field, ell)
+        assert value == _special_case_statement(field, ell), (field.params, ell)
+        values["none" if value is None else "zero" if value == 0 else "nonzero"] += 1
+    assert values == Counter(none=418, zero=469, nonzero=19)
+
+
+def test_engine_calls_no_public_symbol(corpus, monkeypatch):
+    # every engine path reads its symbols through integers._legendre and
+    # the branch support; the public symbols stay for callers and tests
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for modname, module in list(sys.modules.items()):
+        if modname == "cmintersect" or modname.startswith("cmintersect."):
+            for name in ("kronecker", "hilbert_symbol"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    _n_contexts.cache_clear()
+    try:
+        for field in corpus:
+            assert enumerate_candidate_primes(field)
+            for ell in PRIMES_TO_50:
+                intersection_number(field, ell)
+                special_case_value(field, ell)
+    finally:
+        _n_contexts.cache_clear()
+    assert calls == Counter()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cmintersect import (QuadDiscriminant, count_all_ideals,
                          count_invertible_ideals, discriminant_of, factorize,
-                         rho2, rho_simplified, two_power_factor)
+                         rho2, two_power_factor)
 from cmintersect.matrix_ideals import val_ext
 from cmintersect.oracles import count_ideals_bruteforce
 
@@ -204,15 +204,3 @@ def test_two_power_factor_matches_valuation_form(d, t, ell):
 def test_rho2_matches_valuation_form(d, s0, s1):
     disc = discriminant_of(d)
     assert rho2(disc, s0, s1) == _rho2_ref(disc, s0, s1)
-
-
-def test_rho_simplified_examples():
-    # (-3, -1)_3 = -1, so the p = 3 test vanishes the first value
-    assert rho_simplified(discriminant_of(-3), 1, 2) == 0
-    assert rho_simplified(discriminant_of(-3), 2, 2) == 1
-    # (-4, -2)_2 = -1 at p = 2 != ell = 3
-    assert rho_simplified(discriminant_of(-4), 2, 3) == 0
-    # (-7, -3)_7 = 1 and gcd(7, 3) = 1
-    assert rho_simplified(discriminant_of(-7), 3, 5) == 1
-    with pytest.raises(ValueError):
-        rho_simplified(discriminant_of(-12), 2, 5)
