@@ -33,8 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._record import Record
-from .integers import (_TRIAL_PRIMES, _factor_rough, _is_prime_place, _legendre,
-                       _split, _sqrt_mod_prime, _symbol_at_prime,
+from .integers import (_TRIAL_PRIMES, _factor_rough, _legendre, _split,
+                       _sqrt_mod_prime, _symbol_at_prime, is_prime,
                        perfect_square_root)
 from .quadratic_orders import discriminant_of
 
@@ -326,7 +326,7 @@ def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
 
 def enumerate_n(field: CMFieldData, dctx: DeltaContext, ell: int) -> tuple[NContext, ...]:
     """All n with n = -cK*delta (mod 2D), N positive integral, ell | N."""
-    if not _is_prime_place(ell):
+    if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     return tuple(ctx for ctx in _n_contexts(field, dctx) if ctx.N % ell == 0)
 

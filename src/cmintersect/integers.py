@@ -59,17 +59,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=256)
-def _is_prime_place(p: int) -> bool:
-    # places and valuation primes repeat across the branches of a field
-    return is_prime(p)
-
-
 def padic_val(n: int, p: int) -> int:
     """Largest e with p^e | n.  Rejects n = 0."""
     if n == 0:
         raise ValueError("0 has no finite p-adic valuation")
-    if not _is_prime_place(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _split(n, p)[1]
 
@@ -281,7 +275,7 @@ def _is_finite_place(place) -> bool:
     if type(place) is not int:
         if place == INFINITY:
             return False
-    elif _is_prime_place(place):
+    elif is_prime(place):
         return True
     raise ValueError(f"{place!r} is not a prime or INFINITY")
 

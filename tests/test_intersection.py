@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmintersect import (EXACT, UPPER_BOUND, CMFieldData, CMFieldParams,
-                         IndexHypothesisViolated, NContext, count_all_ideals,
-                         discriminant_of, enumerate_candidate_primes,
-                         enumerate_delta, enumerate_n, factorize,
+                         IndexHypothesisViolated, NContext, build_query,
+                         count_all_ideals, discriminant_of,
+                         enumerate_candidate_primes, enumerate_delta,
+                         enumerate_fu, enumerate_n, factorize, frakI,
                          hilbert_symbol, intersection_number, is_prime,
-                         mu_ell, special_case_value, validate)
+                         mu_ell, scrJ, special_case_value, validate)
 from cmintersect import intersection
 from cmintersect.cm_fields import _n_contexts
 from cmintersect.intersection import MODE_INDEX_BOUND, MODE_MONOGENIC
@@ -319,3 +320,43 @@ def test_engine_calls_no_public_symbol(corpus, monkeypatch):
     finally:
         _n_contexts.cache_clear()
     assert calls == Counter()
+
+
+def test_row_layer_reads_each_fact_once(corpus, monkeypatch):
+    # frakI takes v_p(delta) and p from its own factorization and counts
+    # roots from one symbol, so it needs no valuation checks and no
+    # square roots; the ideal counts need no square roots either
+    rows = [(nctx, f_u, ell) for field in corpus for ell in PRIMES_TO_50
+            for dctx in enumerate_delta(field)
+            for nctx in enumerate_n(field, dctx, ell)
+            for f_u in enumerate_fu(nctx, ell)]
+    assert len(rows) == 21_595
+    calls = Counter()
+    layer = None
+
+    def counted(name, real):
+        def call(*args):
+            calls[layer, name] += 1
+            return real(*args)
+        return call
+
+    for modname, module in list(sys.modules.items()):
+        if modname == "cmintersect" or modname.startswith("cmintersect."):
+            for name in ("padic_val", "_sqrt_mod_prime"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for row in rows:
+        layer = "frakI"
+        frakI(*row)
+        layer = "scrJ"
+        scrJ(build_query(*row))
+    assert calls["frakI", "padic_val"] == calls["frakI", "_sqrt_mod_prime"] == 0
+    assert calls["scrJ", "_sqrt_mod_prime"] == 0
+
+
+def test_corpus_reports_are_pinned(corpus):
+    # every row, value, flag and warning of the 900 corpus reports
+    text = "\n".join(repr(intersection_number(field, ell))
+                     for field in corpus for ell in PRIMES_TO_50)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "673820d7ca7a05e585f0458c4609f4d8b4ac2296c0af012dee8d96441eaf4a13"

@@ -59,6 +59,14 @@ def test_count_roots_large_prime_uses_square_roots():
         assert count_roots_mod_pk(*q) == count_roots_by_enumeration(*q), q
 
 
+def test_count_roots_deep_double_root():
+    # t^2 = 0 mod p^C holds exactly when v_p(t) >= ceil(C/2); the count
+    # follows the double root two levels a step, 1,050 and 2,500 steps
+    # here, far past the interpreter's recursion limit
+    assert count_roots_mod_pk(3, 2101, 0, 0) == 3**1050
+    assert count_roots_mod_pk(2, 5001, 0, 0) == 2**2500
+
+
 def test_hensel_constancy_for_nonsingular_quadratics():
     rng = random.Random(33)
     checked = 0
@@ -121,14 +129,15 @@ def test_frakI_level_sum_example():
     assert frakI(ctx, 4, 3) == 3
     # same branch at ell = 2 skips the only prime: empty product
     assert frakI(ctx, 4, 2) == 1
-    assert local_weight_exponent(4, 4, -32, 0, 2) == 0
+    # the first argument is v_2(delta) = v_2(4) = 2
+    assert local_weight_exponent(2, 4, -32, 0, 2) == 0
     # d_u = t_u f_u: the ratio is 0, so c_2 = v_2(f_u) = 2 and r_2 = 0 again
-    assert local_weight_exponent(4, 4, -32, -8, 2) == 0
+    assert local_weight_exponent(2, 4, -32, -8, 2) == 0
     ctx = _synthetic_branch(delta=4, t_u=-8, t_w=1, n_w=0, d_u=-32)
     assert frakI(ctx, 4, 3) == 3
     # ratio 2/8 = 1/4 has a denominator divisible by 2: c_2 = -2, r_2 = 4,
     # so both levels are negative and the factor is empty
-    assert local_weight_exponent(4, 4, 2, 0, 2) == 4
+    assert local_weight_exponent(2, 4, 2, 0, 2) == 4
     assert frakI(_synthetic_branch(delta=4, t_u=0, t_w=1, n_w=0, d_u=2), 4, 3) == 0
 
 
@@ -145,8 +154,14 @@ def _weight_exponent_ref(delta, f_u, d_u, t_u, p):
 def test_local_weight_exponent_matches_valuation_form(delta, f_u, t_u, diff, p):
     # d_u - t_u f_u = diff, which is 0 (d_u = t_u f_u) or has a chosen valuation
     d_u = t_u * f_u + diff
-    assert (local_weight_exponent(delta, f_u, d_u, t_u, p)
+    assert (local_weight_exponent(val_ext(delta, p), f_u, d_u, t_u, p)
             == _weight_exponent_ref(delta, f_u, d_u, t_u, p))
+
+
+def test_local_weight_exponent_rejects_zero_fu():
+    # v_p(0) is infinite: without the check the valuation loop never ends
+    with pytest.raises(ValueError):
+        local_weight_exponent(1, 0, -3, 1, 2)
 
 
 def test_frakI_negative_levels_vanish():
