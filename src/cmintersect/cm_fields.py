@@ -262,10 +262,14 @@ def _sieve_roots(D: int, Dt: int, p: int):
     return s * inv % p, inv
 
 
-@lru_cache(maxsize=4096)
-def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
-    # all n in the admissible residue class with positive integral N,
-    # independent of ell; cached because every prime reuses them
+def _build_n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
+    """Every branch of one delta, its support decided, never cached.
+
+    All n in the admissible residue class with positive integral N,
+    independent of ell.  The candidate-prime screen calls this directly,
+    one delta at a time, and keeps only the witnesses; the per-ell
+    queries read it through `_n_contexts`.
+    """
     params = field.params
     D, cK, Dt = params.D, field.cK, field.Dtilde
     delta, a, sq = dctx.delta, dctx.a, dctx.sq
@@ -322,6 +326,19 @@ def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
                 "has even size; product formula failed")
         out.append(NContext(dctx, *branch, support))
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
+    """`_build_n_contexts`, cached for the per-ell queries.
+
+    Only `enumerate_n` reads it (so `intersection_number` and
+    `special_case_value`), since every prime of a field reuses the same
+    branches; the candidate-prime screen neither reads nor fills it.
+    maxsize counts (field, delta) entries, not branches: one entry holds
+    every branch of its delta, 99,888 NContexts (46 MB) over E4's deltas.
+    """
+    return _build_n_contexts(field, dctx)
 
 
 def enumerate_n(field: CMFieldData, dctx: DeltaContext, ell: int) -> tuple[NContext, ...]:

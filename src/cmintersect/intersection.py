@@ -14,10 +14,10 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .cm_fields import (CMFieldData, NContext, _n_contexts, enumerate_delta,
-                        enumerate_fu, enumerate_n)
+from .cm_fields import (CMFieldData, NContext, _build_n_contexts,
+                        enumerate_delta, enumerate_fu, enumerate_n)
 from .embedding_counts import EXACT, UPPER_BOUND, build_query, scrJ
-from .integers import factorize, is_prime, padic_val
+from .integers import _split, factorize, is_prime
 # unused here; perfbench/test_perfbench.py reads intersection.hilbert_symbol
 from .integers import hilbert_symbol  # noqa: F401
 from .local_roots import frakI
@@ -54,7 +54,16 @@ class IntersectionReport(Record):
 
 def mu_ell(nctx: NContext, ell: int) -> Fraction:
     """v_ell(N) when ell divides both d_u and d_x, else (v_ell(N) + 1)/2."""
-    v = padic_val(nctx.N, ell)
+    if nctx.N == 0:  # a hand-built branch; `_split` would never return
+        raise ValueError("0 has no finite p-adic valuation")
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
+    return _mu(nctx, ell)
+
+
+def _mu(nctx: NContext, ell: int) -> Fraction:
+    # `mu_ell` for a prime ell its caller has already checked
+    v = _split(nctx.N, ell)[1]
     if nctx.d_u % ell == 0 and nctx.d_x % ell == 0:
         return Fraction(v)
     return Fraction(v + 1, 2)
@@ -93,7 +102,7 @@ def intersection_number(field: CMFieldData, ell: int) -> IntersectionReport:
         if dctx.delta % ell == 0:
             ell_divides_delta = True
         for nctx in enumerate_n(field, dctx, ell):
-            mu = mu_ell(nctx, ell)
+            mu = _mu(nctx, ell)
             for f_u in enumerate_fu(nctx, ell):
                 weight = frakI(nctx, f_u, ell)
                 query = build_query(nctx, f_u, ell)
@@ -138,10 +147,18 @@ def enumerate_candidate_primes(field: CMFieldData):
     that ell divides N = (delta^2 Dtilde - n^2)/(4D).  Every other branch
     vanishes at ell, and a branch witnesses at most one prime.
     Witnesses are listed in branch order.
+
+    The branches are built one delta at a time and dropped once their
+    witnesses are kept, so the screen holds one delta's branches and
+    the answer, never the whole field: it neither reads nor fills the
+    branch cache of `_n_contexts`.  A caller who screens a field and
+    then queries `intersection_number` on it pays for the branches
+    twice (about 2 s on E4); the first per-ell query fills the cache,
+    as it would without the screen.
     """
     found: dict[int, list[tuple[int, int]]] = {}
     for dctx in enumerate_delta(field):
-        for nctx in _n_contexts(field, dctx):
+        for nctx in _build_n_contexts(field, dctx):
             if len(nctx.support) != 1:
                 continue
             found.setdefault(nctx.support[0], []).append((dctx.delta, nctx.n))
@@ -178,6 +195,6 @@ def special_case_value(field: CMFieldData, ell: int):
                 continue
             shared = sum(1 for p in factorize(disc.d).primes()
                          if p != ell and nctx.N % p == 0)
-            total += (c_delta * mu_ell(nctx, ell) * 2**shared
+            total += (c_delta * _mu(nctx, ell) * 2**shared
                       * count_all_ideals(disc, nctx.N // ell))
     return total

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -33,6 +35,15 @@ def test_mu_branch_cases():
     assert mu_ell(both, 2) == Fraction(3)
     one = NContext(**dict(zip(NContext._fields, ctx), N=4, d_u=-3, d_x=-8))   # v_2(4) = 2, 2 misses d_u
     assert mu_ell(one, 2) == Fraction(3, 2)
+
+
+def test_mu_rejects_a_composite_ell_and_a_zero_norm():
+    ctx = enumerate_n(WORKED, enumerate_delta(WORKED)[0], 2)[0]
+    with pytest.raises(ValueError, match="not prime"):
+        mu_ell(ctx, 4)
+    zero = NContext(**dict(zip(NContext._fields, ctx), N=0))
+    with pytest.raises(ValueError, match="no finite p-adic valuation"):
+        mu_ell(zero, 2)
 
 
 def test_worked_intersection_value():
@@ -360,3 +371,78 @@ def test_corpus_reports_are_pinned(corpus):
                      for field in corpus for ell in PRIMES_TO_50)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "673820d7ca7a05e585f0458c4609f4d8b4ac2296c0af012dee8d96441eaf4a13"
+
+
+def test_queries_check_ell_once(corpus, monkeypatch):
+    # intersection_number and special_case_value check ell once and read
+    # v_ell(N) without a second check; with both caches cleared, the
+    # is_prime calls left are: 900 + 900 query checks, 4,015 from
+    # enumerate_n (one a delta), 2,853 from padic_val in
+    # quadratic_orders.rho2 and 3,359 from factoring.  With a per-branch
+    # check in mu_ell this was 23,786.
+    calls = Counter()
+
+    def counted(real):
+        def call(*args):
+            calls["is_prime"] += 1
+            return real(*args)
+        return call
+
+    for modname, module in list(sys.modules.items()):
+        if modname == "cmintersect" or modname.startswith("cmintersect."):
+            if hasattr(module, "is_prime"):
+                monkeypatch.setattr(module, "is_prime", counted(module.is_prime))
+    _n_contexts.cache_clear()
+    factorize.cache_clear()
+    try:
+        for field in corpus:
+            for ell in PRIMES_TO_50:
+                intersection_number(field, ell)
+                special_case_value(field, ell)
+    finally:
+        _n_contexts.cache_clear()
+    assert calls["is_prime"] == 12_027
+
+
+def _candidate_primes_from_the_cache(field):
+    # the screen as it read the cached branches before it streamed them
+    found = {}
+    for dctx in enumerate_delta(field):
+        for ctx in _n_contexts(field, dctx):
+            if len(ctx.support) == 1:
+                found.setdefault(ctx.support[0], []).append((dctx.delta, ctx.n))
+    return tuple(sorted((ell, tuple(ws)) for ell, ws in found.items()))
+
+
+def test_screen_keeps_nothing(corpus):
+    e3 = validate(E3)
+    _n_contexts.cache_clear()
+    try:
+        tracemalloc.start()
+        try:
+            e3_cands = enumerate_candidate_primes(e3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        screened = [enumerate_candidate_primes(field) for field in corpus]
+        info = _n_contexts.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert screened == [_candidate_primes_from_the_cache(field) for field in corpus]
+        assert e3_cands == _candidate_primes_from_the_cache(e3)
+    finally:
+        _n_contexts.cache_clear()
+    # one delta's branches and the answer: 6.5-6.9 MB with the whole
+    # field held in the cache
+    assert peak < 4 * 2**20
+
+
+E5 = CMFieldParams(1997, -59, 1, 2053, 298)
+
+
+@pytest.mark.skipif(os.environ.get("CMINTERSECT_SLOW") != "1",
+                    reason="screens E5, about 100 s; set CMINTERSECT_SLOW=1")
+def test_candidate_primes_of_e5_are_pinned():
+    # 1,172,521 branches, streamed one delta at a time
+    cands = enumerate_candidate_primes(validate(E5))
+    digest = hashlib.sha256(json.dumps(cands).encode()).hexdigest()
+    assert digest == "a482ba64963ed2a54ec7f1275809d5162f17391c070f8d6dab201e3ac1220a35"
