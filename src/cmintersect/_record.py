@@ -25,7 +25,11 @@ namedtuple).
 `__eq__` and `__ne__` answer for any other object themselves: returning
 `NotImplemented` would let the other side's `tuple.__eq__` compare the
 values.  The hash is that of the field tuple, the repr is the dataclass
-repr, fields cannot be assigned or deleted, and records are not ordered.
+repr, and records are not ordered.  The tuple layout alone keeps a record
+frozen: with empty `__slots__` there is no instance dict, and the
+`_tuplegetter` fields have no setter, so assigning or deleting a field, a
+property or any other name raises `AttributeError`, through
+`object.__setattr__` as well.
 Importing `dataclasses` pulls in `inspect`, `ast` and `dis`, and
 decorating a class takes several times as long as creating a `Record`
 subclass; both costs fall on every command-line run.  `collections` is
@@ -33,10 +37,6 @@ already loaded by `functools`.
 """
 
 from collections import _tuplegetter
-
-
-class FrozenInstanceError(AttributeError):
-    """Raised on assigning or deleting an attribute of a record."""
 
 
 def _unordered(self, other):
@@ -95,9 +95,3 @@ class Record(tuple, metaclass=_RecordType):
     def __repr__(self):
         body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self))
         return f"{type(self).__qualname__}({body})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")

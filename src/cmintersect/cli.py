@@ -38,7 +38,6 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _rat(x: Fraction) -> list[int]:
-    x = Fraction(x)
     return [x.numerator, x.denominator]
 
 
@@ -53,25 +52,22 @@ class _JSONObject(dict):
 
 
 def _load_field_records(args) -> list[dict]:
-    if args.batch:
-        from pathlib import Path
-        text = Path(args.batch).read_text()
-        records = json.loads(text, object_pairs_hook=_JSONObject)
-        if not isinstance(records, list):
-            raise ValueError("batch file must hold a JSON array of field records")
-        return records
-    if not args.field:
+    doc = args.batch or args.field
+    if not doc:
         raise ValueError("missing --field (or --batch)")
-    doc = args.field
-    if doc.lstrip().startswith(("{", "[")):
-        text = doc
-    else:
+    # a --batch value is always a path; a --field value is one unless it
+    # is inline JSON
+    if args.batch or not doc.lstrip().startswith(("{", "[")):
         from pathlib import Path
-        text = Path(doc).read_text()
-    record = json.loads(text, object_pairs_hook=_JSONObject)
-    if not isinstance(record, dict):
-        raise ValueError("field document must be a JSON object")
-    return [record]
+        doc = Path(doc).read_text()
+    records = json.loads(doc, object_pairs_hook=_JSONObject)
+    if not args.batch:
+        if not isinstance(records, dict):
+            raise ValueError("field document must be a JSON object")
+        return [records]
+    if not isinstance(records, list):
+        raise ValueError("batch file must hold a JSON array of field records")
+    return records
 
 
 def _json_int(value, name: str) -> int:

@@ -12,18 +12,17 @@ Branches of the intersection sum are enumerated in three layers: delta
 (with D - 4*delta a perfect square), then n (a single residue class mod
 2D, both signs, bounded by delta^2 * Dtilde), then the divisor f_u.
 Each (delta, n) branch carries its Hilbert-symbol support, computed once
-and checked against the product formula.  The support lies in the primes
-of N (see `NContext`), so only N is sieved, and the supports of all
-branches of one delta are decided in that sieve.  N is quadratic in the
-branch index, so the indices a prime divides form at most two residue
-classes (Pomerance's quadratic sieve, EUROCRYPT '84).  By the norm
-identity, (d_u, -N)_p = (d_x, -N)_p, and that is (d/p)^v_p(N) for
-whichever d of d_u, d_x is prime to p.  Both are linear in the branch
-index, so one Legendre symbol, read by Euler's criterion (one C-level
-`pow`), decides a whole class.  A branch where p divides both d_u and
-d_x takes the local symbol from the valuation v_p(N) the sieve has just
-found, so `cm_fields` itself calls neither `hilbert_symbol` nor
-`kronecker`.
+and checked against the product formula.  By the norm identity (the
+argument is in `NContext`), every support prime divides N and each
+symbol is a Legendre symbol of d_u or d_x, so only N is sieved, and the
+supports of all branches of one delta are decided in that sieve.  N is
+quadratic in the branch index, so the indices a prime divides form at
+most two residue classes (Pomerance's quadratic sieve, EUROCRYPT '84).
+d_u and d_x are linear in the branch index, so one Legendre symbol, read
+by Euler's criterion (one C-level `pow`), decides a whole class.  A
+branch where p divides both d_u and d_x takes the local symbol from the
+valuation v_p(N) the sieve has just found, so `cm_fields` itself calls
+neither `hilbert_symbol` nor `kronecker`.
 """
 
 from __future__ import annotations
@@ -114,6 +113,14 @@ class NContext(Record):
       (2^i u, -N)_2 = (-1)^(i omega(-N)) = 1.
     So every support prime divides N, and the supports are decided while
     N is sieved (see `_supports_by_sieve`).
+
+    The same identity makes the branch symbol's other expression in the
+    paper, (d_u, ((d_u/f_u^2) d_x - 2t)^2 - (d_u/f_u^2) d_x)_p, equal to
+    (d_u, -N)_p for every f_u: times f_u^4, a square, its second argument
+    is (d_u d_x - 2 t f_u^2)^2 - d_u d_x f_u^2, and `t_pair` gives
+    2 t f_u^2 = d_u d_x - f_u X, so it is f_u^2 (X^2 - d_u d_x) =
+    -4 N f_u^2, -N times a square.  So `embedding_counts.vanishing_test`
+    reads the support and evaluates no symbol of its own.
     """
 
     delta_ctx: DeltaContext
@@ -193,13 +200,12 @@ def _supports_by_sieve(Ns: list[int], d_us: list[int], d_xs: list[int],
     starts(p) gives the residues mod p of the indices i with p | Ns[i];
     a class whose first N is not divisible by p raises
     `IntegralityViolation`.
-    Every support prime divides N, and with d = d_u when p does not
-    divide it, else d_x, (d_u, -N)_p = (d/p)^v_p(N) (see `NContext`): one
-    Legendre symbol by Euler's criterion decides a whole sieve class, and
-    a cofactor prime above the sieve limit takes the same rule with its
-    own branch's d_u and d_x.  Where p divides both, each branch takes
-    the local symbol from the valuation e = v_p(N) that the sieve has
-    just found, against the p-unit -N/p^e.
+    Each symbol follows the norm-identity rule stated in `NContext`: one
+    Legendre symbol by Euler's criterion decides a whole sieve class, a
+    cofactor prime above the sieve limit takes the same rule with its own
+    branch's d_u and d_x, and where p divides both, each branch takes the
+    local symbol from the valuation e = v_p(N) that the sieve has just
+    found, against the p-unit -N/p^e.
     """
     m = len(Ns)
     limit = min(10_000, math.isqrt(max(Ns)) + 1)

@@ -60,13 +60,9 @@ def vanishing_test(q: ScrJQuery) -> bool:
 
     The symbol is (d_u, D(n^2 - delta^2 Dtilde))_p = (d_u, -N)_p, since
     n^2 - delta^2 Dtilde = -4DN; the primes where it is -1 are the
-    branch's symbol support, so the test reads that.  The symbol's other
-    expression, (d_u, ((d_u/f_u^2) d_x - 2t)^2 - (d_u/f_u^2) d_x)_p, needs no
-    evaluation of its own.  Times f_u^4, a square, its second argument is
-    (d_u d_x - 2 t f_u^2)^2 - d_u d_x f_u^2; `t_pair` gives
-    2 t f_u^2 = d_u d_x - f_u X with X = t_x t_u - 2 t_xuv, so this is
-    f_u^2 (X^2 - d_u d_x) = -4 N f_u^2 by the norm identity that
-    `_n_contexts` checks: -N times a square, hence the same symbol.
+    branch's symbol support, so the test reads that.  By the norm
+    identity, the symbol's other expression is the same one (the
+    argument is in `NContext`).
     """
     return any(p != q.ell for p in q.support)
 

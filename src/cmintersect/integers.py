@@ -172,8 +172,6 @@ def _factor_rough(n: int) -> tuple[tuple[int, int], ...]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue

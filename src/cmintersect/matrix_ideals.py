@@ -242,6 +242,14 @@ def is_optimally_embedded(w: PMatrix, p: int) -> bool:
     return True
 
 
+def _check_optimal(y: PMatrix, p: int, r: int) -> None:
+    # the precondition of both the count and the canonical form
+    if y.trace.denominator != 1 or y.norm.denominator != 1:
+        raise ValueError("element must have integer trace and norm")
+    if not is_optimally_embedded(y.scale(p**r), p):
+        raise ValueError(f"p^{r} * y is not optimally embedded")
+
+
 def count_right_order_ideals(p: int, N: int, y: PMatrix, r: int) -> int:
     """Primitive ideals of norm p^N whose right order contains y.
 
@@ -250,11 +258,7 @@ def count_right_order_ideals(p: int, N: int, y: PMatrix, r: int) -> int:
     """
     if r < 0 or N < 0:
         raise ValueError("exponents must be nonnegative")
-    if y.trace.denominator != 1 or y.norm.denominator != 1:
-        raise ValueError("element must have integer trace and norm")
-    scaled = y.scale(p**r)
-    if not is_optimally_embedded(scaled, p):
-        raise ValueError(f"p^{r} * y is not optimally embedded")
+    _check_optimal(y, p, r)
     return count_roots_mod_pk(p, N - r, int(y.trace), int(y.norm))
 
 
@@ -265,11 +269,7 @@ def canonical_conjugate(y: PMatrix, p: int, r: int) -> PMatrix:
     valuation exactly -r.  Checking c first makes a matrix already in
     companion form return the identity.
     """
-    if y.trace.denominator != 1 or y.norm.denominator != 1:
-        raise ValueError("element must have integer trace and norm")
-    scaled = y.scale(p**r)
-    if not is_optimally_embedded(scaled, p):
-        raise ValueError(f"p^{r} * y is not optimally embedded")
+    _check_optimal(y, p, r)
     a, b, c, d = y.entries()
     pr = Fraction(p) ** r
     if val_ext(c, p) == -r:

@@ -20,10 +20,10 @@ def _square_residues(p: int, k: int) -> frozenset:
     return frozenset(x * x % mod for x in range(mod))
 
 
-def hilbert_symbol_oracle(a, b, place, k: int | None = None) -> int:
+def hilbert_symbol_oracle(a, b, place) -> int:
     """Brute-force Hilbert symbol: primitive solvability of z^2 = ax^2 + by^2.
 
-    Works modulo p^k (default k = 3 for odd p, k = 6 for p = 2), which
+    Works modulo p^k (k = 3 for odd p, k = 6 for p = 2), which
     decides the symbol when v_p(a), v_p(b) <= 1 after clearing square
     factors.  Intended for small p; this is the test arbiter.  The place
     must be an int prime or INFINITY, as for `hilbert_symbol`.
@@ -34,8 +34,7 @@ def hilbert_symbol_oracle(a, b, place, k: int | None = None) -> int:
     if not _is_finite_place(place):
         return -1 if (a < 0 and b < 0) else 1
     p = place
-    if k is None:
-        k = 6 if p == 2 else 3
+    k = 6 if p == 2 else 3
 
     def reduce_arg(x: Fraction) -> int:
         # multiply by rational squares: integer with v_p in {0, 1}

@@ -12,7 +12,7 @@ arbitrates it in the tests.
 from __future__ import annotations
 
 from ._record import Record
-from .integers import _legendre, factorize, padic_val
+from .integers import _legendre, _split, factorize
 from .local_roots import _count
 
 
@@ -111,7 +111,7 @@ def rho2(disc: QuadDiscriminant, s0, s1) -> int:
     """
     d = disc.d
     first = (d % 16 == 12 and (s0 - s1).numerator % 2 == 0
-             or d % 8 == 0 and s0.numerator % 2 ** (padic_val(d, 2) - 2) == 0)
+             or d % 8 == 0 and s0.numerator % 2 ** (_split(d, 2)[1] - 2) == 0)
     second = d % 32 == 0 and (s0 - 2 * s1).numerator % 4 == 0
     return 2 ** (first + second)
 

@@ -21,56 +21,37 @@ from .oracles import (count_ideals_bruteforce, count_roots_by_enumeration,
 from .quadratic_orders import count_invertible_ideals, discriminant_of
 
 
-def _suites() -> list[dict]:
-    suites = []
-    rng = random.Random(20240 + 1)
-
-    passed = failed = 0
+def _local_roots(rng):
     for _ in range(200):
         p = rng.choice([2, 3, 5, 7])
         q = (p, rng.randint(0, 4), rng.randint(-40, 40), rng.randint(-40, 40))
-        if count_roots_mod_pk(*q) == count_roots_by_enumeration(*q):
-            passed += 1
-        else:
-            failed += 1
-    suites.append({"name": "local root counts vs enumeration",
-                   "passed": passed, "failed": failed})
+        yield count_roots_mod_pk(*q) == count_roots_by_enumeration(*q)
 
-    passed = failed = 0
+
+def _hilbert(rng):
     pool = [1, -1, 2, -2, 3, -3, 5, 6, -6, 10, 15, -30]
     for _ in range(60):
         a, b = rng.choice(pool), rng.choice(pool)
         p = rng.choice([2, 3, 5])
-        if hilbert_symbol(a, b, p) == hilbert_symbol_oracle(a, b, p):
-            passed += 1
-        else:
-            failed += 1
+        yield hilbert_symbol(a, b, p) == hilbert_symbol_oracle(a, b, p)
     for _ in range(60):
         a = rng.randint(-400, 400) or 1
         b = rng.randint(-400, 400) or 1
         prod = hilbert_symbol(a, b, INFINITY)
         for p in {2} | set(factorize(a).primes()) | set(factorize(b).primes()):
             prod *= hilbert_symbol(a, b, p)
-        if prod == 1:
-            passed += 1
-        else:
-            failed += 1
-    suites.append({"name": "hilbert symbols (oracle + product formula)",
-                   "passed": passed, "failed": failed})
+        yield prod == 1
 
-    passed = failed = 0
+
+def _ideal_counts(rng):
     valid_discs = [d for d in range(-120, 0) if d % 4 in (0, 1)]
     for _ in range(120):
         disc = discriminant_of(rng.choice(valid_discs))
         M = rng.randint(1, 30)
-        if count_invertible_ideals(disc, M) == count_ideals_bruteforce(disc, M):
-            passed += 1
-        else:
-            failed += 1
-    suites.append({"name": "quadratic-order ideal counts vs HNF oracle",
-                   "passed": passed, "failed": failed})
+        yield count_invertible_ideals(disc, M) == count_ideals_bruteforce(disc, M)
 
-    passed = failed = 0
+
+def _right_ideals(rng):
     for _ in range(40):
         p = rng.choice([2, 3])
         r = rng.randint(0, 1)
@@ -80,23 +61,32 @@ def _suites() -> list[dict]:
         formula = count_right_order_ideals(p, N, y, r)
         direct = sum(1 for I in enumerate_ideals(p, N)
                      if is_primitive(I) and right_order_contains(I, y))
-        if formula == direct:
-            passed += 1
-        else:
-            failed += 1
-    suites.append({"name": "matrix-order right-ideal counts vs filter",
-                   "passed": passed, "failed": failed})
+        yield formula == direct
 
+
+def _worked_example(rng):
     field = validate(CMFieldParams(5, 0, 1, 1, 1))
     report = intersection_number(field, 2)
-    ok = report.value == Fraction(1) and len(report.rows) == 1
-    suites.append({"name": "worked end-to-end value",
-                   "passed": int(ok), "failed": int(not ok)})
-    return suites
+    yield report.value == Fraction(1) and len(report.rows) == 1
+
+
+# (name, suite) in run order; the suites share one seeded generator
+_SUITES = (
+    ("local root counts vs enumeration", _local_roots),
+    ("hilbert symbols (oracle + product formula)", _hilbert),
+    ("quadratic-order ideal counts vs HNF oracle", _ideal_counts),
+    ("matrix-order right-ideal counts vs filter", _right_ideals),
+    ("worked end-to-end value", _worked_example),
+)
 
 
 def run_selftest() -> dict:
-    suites = _suites()
+    rng = random.Random(20240 + 1)
+    suites = []
+    for name, suite in _SUITES:
+        checks = list(suite(rng))
+        suites.append({"name": name, "passed": sum(checks),
+                       "failed": len(checks) - sum(checks)})
     return {
         "task": "selftest",
         "suites": suites,

@@ -307,6 +307,30 @@ def test_selftest_passes():
     assert payload["passed"] > 400
 
 
+def test_selftest_makes_the_same_checks_in_the_same_order(monkeypatch):
+    # every suite passes, so the output alone cannot show a changed draw
+    # order or a dropped check; the log of closed-form calls does
+    import hashlib
+
+    from cmintersect import selftest
+
+    log = []
+
+    def logged(name, original):
+        def wrapper(*args):
+            log.append(f"{name}{args!r}")
+            return original(*args)
+        return wrapper
+
+    for name in ("count_roots_mod_pk", "hilbert_symbol", "count_invertible_ideals",
+                 "count_right_order_ideals", "intersection_number"):
+        monkeypatch.setattr(selftest, name, logged(name, getattr(selftest, name)))
+    assert selftest.run_selftest()["failed"] == 0
+    assert len(log) == 702
+    assert hashlib.sha256("\n".join(log).encode()).hexdigest() == (
+        "5a7c8e6ff79abb0cc36de9b82e2a45ac9066b8ecf1f0d245a4ab07bab32e8a5a")
+
+
 def test_cli_import_leaves_out_dataclasses_and_selftest_code():
     # every CLI process pays for what `import cmintersect.cli` and its verbs
     # load; -S keeps modules that site-packages .pth files import out of the

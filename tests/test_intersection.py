@@ -336,7 +336,8 @@ def test_engine_calls_no_public_symbol(corpus, monkeypatch):
 def test_row_layer_reads_each_fact_once(corpus, monkeypatch):
     # frakI takes v_p(delta) and p from its own factorization and counts
     # roots from one symbol, so it needs no valuation checks and no
-    # square roots; the ideal counts need no square roots either
+    # square roots; the ideal counts need neither (rho2 reads v_2(d)
+    # with _split)
     rows = [(nctx, f_u, ell) for field in corpus for ell in PRIMES_TO_50
             for dctx in enumerate_delta(field)
             for nctx in enumerate_n(field, dctx, ell)
@@ -362,7 +363,7 @@ def test_row_layer_reads_each_fact_once(corpus, monkeypatch):
         layer = "scrJ"
         scrJ(build_query(*row))
     assert calls["frakI", "padic_val"] == calls["frakI", "_sqrt_mod_prime"] == 0
-    assert calls["scrJ", "_sqrt_mod_prime"] == 0
+    assert calls["scrJ", "padic_val"] == calls["scrJ", "_sqrt_mod_prime"] == 0
 
 
 def test_corpus_reports_are_pinned(corpus):
@@ -377,9 +378,9 @@ def test_queries_check_ell_once(corpus, monkeypatch):
     # intersection_number and special_case_value check ell once and read
     # v_ell(N) without a second check; with both caches cleared, the
     # is_prime calls left are: 900 + 900 query checks, 4,015 from
-    # enumerate_n (one a delta), 2,853 from padic_val in
-    # quadratic_orders.rho2 and 3,359 from factoring.  With a per-branch
-    # check in mu_ell this was 23,786.
+    # enumerate_n (one a delta) and 3,359 from factoring.  With a
+    # per-branch check in mu_ell this was 23,786; with padic_val in
+    # quadratic_orders.rho2 it was 12,027.
     calls = Counter()
 
     def counted(real):
@@ -401,7 +402,7 @@ def test_queries_check_ell_once(corpus, monkeypatch):
                 special_case_value(field, ell)
     finally:
         _n_contexts.cache_clear()
-    assert calls["is_prime"] == 12_027
+    assert calls["is_prime"] == 9_174
 
 
 def _candidate_primes_from_the_cache(field):
