@@ -9,10 +9,9 @@ oracle in `cmintersect.oracles`, which this package does not import.
 
 from .cm_fields import (BadRealDiscriminant, CMFieldData, CMFieldParams,
                         DeltaContext, FieldValidationError,
-                        HalfIntegerDiscriminant, IntegralityViolation,
-                        NContext, NotPrimitive, NotTotallyImaginary,
-                        congruence_constant, enumerate_delta, enumerate_fu,
-                        enumerate_n, t_pair, validate)
+                        IntegralityViolation, NContext, NotPrimitive,
+                        NotTotallyImaginary, congruence_constant, enumerate_delta,
+                        enumerate_fu, enumerate_n, t_pair, validate)
 from .embedding_counts import (EXACT, UPPER_BOUND, CountResult, ScrJQuery,
                                build_query, scrJ, vanishing_test)
 from .integers import (INFINITY, Factorization, factorize, hilbert_symbol,

@@ -24,8 +24,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from .cm_fields import (CMFieldParams, FieldValidationError,
-                        IntegralityViolation, validate)
+from .cm_fields import CMFieldParams, IntegralityViolation, validate
 from .intersection import (IndexHypothesisViolated, enumerate_candidate_primes,
                            intersection_number, special_case_value)
 
@@ -254,7 +253,7 @@ def _run(args, out) -> int:
             code, label, msg = EXIT_HYPOTHESIS_VIOLATED, "hypothesis violated", str(exc)
         except IntegralityViolation as exc:
             code, label, msg = EXIT_INTERNAL_INVARIANT, "internal invariant failure", str(exc)
-        except (FieldValidationError, ValueError) as exc:
+        except ValueError as exc:  # FieldValidationError included
             code, label, msg = EXIT_INPUT_ERROR, "input error", str(exc)
         else:
             _emit(payload, args.format, out)

@@ -54,10 +54,6 @@ class NotPrimitive(FieldValidationError):
     pass
 
 
-class HalfIntegerDiscriminant(FieldValidationError):
-    pass
-
-
 class IntegralityViolation(ArithmeticError):
     pass
 
@@ -144,9 +140,11 @@ def congruence_constant(params: CMFieldParams) -> int:
 def validate(params: CMFieldParams) -> CMFieldData:
     """Check the field data and compute (Dtilde, cK).
 
-    The relative discriminant is A + B*sqrt(D) with 2A, 2B integers; both
-    embeddings are negative iff 2A < 0 and (2A)^2 > (2B)^2 D, compared
-    after clearing the halves.
+    The relative discriminant is (A + B sqrt(D))/2 with A = 2 cK + a1^2 D
+    and B = 2 a0 a1 + a1^2 D - 4 b1, so its norm is (A^2 - B^2 D)/4.
+    Expanded, that is Dtilde = cK^2 - 4D (a1^2 b0 - a0 a1 b1 + b1^2): an
+    integer, and Dtilde = cK^2 (mod 4D).  Both embeddings are negative
+    iff A < 0 and A^2 > B^2 D, that is A < 0 and Dtilde > 0.
     """
     D = params.D
     if D <= 0 or D % 4 not in (0, 1) or perfect_square_root(D) is not None:
@@ -154,16 +152,11 @@ def validate(params: CMFieldParams) -> CMFieldData:
     if params.index_bound < 1:
         raise FieldValidationError("index bound must be a positive integer")
     cK = congruence_constant(params)
-    a0, a1, b1 = params.alpha0, params.alpha1, params.beta1
-    A2 = 2 * cK + a1 * a1 * D
-    B2 = 2 * a0 * a1 + a1 * a1 * D - 4 * b1
-    if (A2 * A2 - B2 * B2 * D) % 4:
-        raise HalfIntegerDiscriminant(
-            "norm of the relative discriminant is not an integer")
-    if not (A2 < 0 and A2 * A2 > B2 * B2 * D):
+    a0, a1, b0, b1 = params.alpha0, params.alpha1, params.beta0, params.beta1
+    Dtilde = cK * cK - 4 * D * (a1 * a1 * b0 - a0 * a1 * b1 + b1 * b1)
+    if not (2 * cK + a1 * a1 * D < 0 and Dtilde > 0):
         raise NotTotallyImaginary(
             "relative discriminant is not negative at both real embeddings")
-    Dtilde = (A2 * A2 - B2 * B2 * D) // 4
     if perfect_square_root(Dtilde) is not None:
         raise NotPrimitive(f"Dtilde = {Dtilde} is a perfect square")
     return CMFieldData(params, Dtilde, cK)
@@ -282,9 +275,7 @@ def _build_n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext,
     b0, b1 = params.beta0, params.beta1
     r = (-cK * delta) % (2 * D)
     dd = delta * delta * Dt
-    # n^2 mod 4D is constant on the class, so integrality of N is too
-    if (dd - r * r) % (4 * D):
-        return ()
+    # N is integral: r^2 = cK^2 delta^2 = dd (mod 4D), by validate's identity
     bound = math.isqrt(dd - 1)  # largest |n| with n^2 < delta^2 Dtilde
     lo = -((bound + r) // (2 * D))
     hi = (bound - r) // (2 * D)

@@ -107,9 +107,8 @@ _TRIAL_PRIMES = _primes_below(10_000)
 
 
 def _pollard_brent(n: int) -> int:
-    # Brent's cycle variant; n odd composite, not a prime power guard needed
-    if n % 2 == 0:
-        return 2
+    # Brent's cycle variant, for a composite n with no prime factor below
+    # the trial-division or sieve limit (so odd)
     seed = 1
     while True:
         y, c, m = seed % n or 1, (seed * 2 + 1) % n or 1, 128

@@ -196,7 +196,7 @@ def normalize_to_triple(z: PMatrix, p: int) -> tuple[int, IdealTriple]:
         c, d = Fraction(0), d - lam * b
     # scale rows to make the diagonal exact p-powers
     va, vd = val_ext(a, p), val_ext(d, p)
-    ua, ud = a / p**va, d / p**vd
+    ua = a / p**va
     b = b / ua
     n, m = va, vd
     # reduce the corner mod p^m

@@ -41,9 +41,8 @@ def discriminant_of(d: int) -> QuadDiscriminant:
 
 
 def _local_count(d: int, f: int, p: int, k: int, invertible_only: bool) -> int:
-    # ideals of norm p^k of the order of discriminant d, locally at p
-    if k == 0:
-        return 1
+    # ideals of norm p^k of the order of discriminant d, locally at p; k >= 1
+    # (an exponent from `factorize`)
     if f % p:
         chi = _legendre(d, p)
         if chi == 1:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cmintersect
+from cmintersect.cm_fields import _build_n_contexts
 from cmintersect.cli import (EXIT_BROKEN_PIPE, EXIT_HYPOTHESIS_VIOLATED,
                              EXIT_INPUT_ERROR, EXIT_OK, main)
 
@@ -168,6 +169,37 @@ def test_index_bound_flag_and_violation():
     code, _ = _run(["intersect", "--field", WORKED, "--ell", "2",
                     "--index-bound", "2"])
     assert code == EXIT_HYPOTHESIS_VIOLATED
+
+
+def test_index_bound_must_be_positive(capsys):
+    code, text = _run(["intersect", "--field", WORKED, "--ell", "2", "--index-bound", "0"])
+    assert (code, text) == (EXIT_INPUT_ERROR, "")
+    assert capsys.readouterr().err == "input error: index bound must be a positive integer\n"
+
+
+def test_special_outside_monogenic_mode_is_hypotheses_not_met():
+    code, text = _run(["special", "--field", WORKED, "--ell", "2", "--index-bound", "3"])
+    assert code == EXIT_OK
+    assert text == '{"ell":2,"status":"hypotheses-not-met","task":"special","warnings":[]}\n'
+
+
+def test_batch_file_must_hold_an_array(tmp_path, capsys):
+    batch = tmp_path / "field.json"
+    batch.write_text(WORKED)
+    code, text = _run(["primes", "--batch", str(batch)])
+    assert (code, text) == (EXIT_INPUT_ERROR, "")
+    assert capsys.readouterr().err == (
+        "input error: batch file must hold a JSON array of field records\n")
+
+
+def test_primes_table_without_candidates():
+    # the field's one delta has no branch at all
+    field = cmintersect.validate(cmintersect.CMFieldParams(5, -3, 0, 1, 1))
+    assert [_build_n_contexts(field, dctx) for dctx in cmintersect.enumerate_delta(field)] \
+        == [()]
+    code, text = _run(["primes", "--format", "table", "--field",
+                       '{"D":5,"alpha":[-3,0],"beta":[1,1]}'])
+    assert (code, text) == (EXIT_OK, "no candidate primes\n")
 
 
 UNRECOGNIZED = "unrecognized arguments"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -22,7 +23,7 @@ from cmintersect import (BadRealDiscriminant, CMFieldData, CMFieldParams,
                          enumerate_n, factorize, hilbert_symbol, kronecker,
                          padic_val, perfect_square_root, t_pair, validate)
 from cmintersect import cm_fields, integers
-from cmintersect.cm_fields import _n_contexts
+from cmintersect.cm_fields import _build_n_contexts, _n_contexts
 from cmintersect.integers import _TRIAL_PRIMES
 from cmintersect.cli import EXIT_INTERNAL_INVARIANT, main
 
@@ -55,6 +56,77 @@ def test_validate_rejections():
     # eta with positive relative discriminant at an embedding
     with pytest.raises(NotTotallyImaginary):
         validate(CMFieldParams(5, 0, 1, -5, 0))
+
+
+def _validate_by_halves(params):
+    # reference for `validate`'s identity: the relative discriminant is
+    # (A + B sqrt(D))/2, so its norm (A^2 - B^2 D)/4 is a priori a quarter
+    # of an integer; the result is (Dtilde, cK) or the class of the error
+    D = params.D
+    if D <= 0 or D % 4 not in (0, 1) or perfect_square_root(D) is not None:
+        return BadRealDiscriminant
+    if params.index_bound < 1:
+        return FieldValidationError
+    cK = congruence_constant(params)
+    a0, a1, b1 = params.alpha0, params.alpha1, params.beta1
+    A = 2 * cK + a1 * a1 * D
+    B = 2 * a0 * a1 + a1 * a1 * D - 4 * b1
+    assert (A * A - B * B * D) % 4 == 0, params
+    if not (A < 0 and A * A > B * B * D):
+        return NotTotallyImaginary
+    Dtilde = (A * A - B * B * D) // 4
+    if perfect_square_root(Dtilde) is not None:
+        return NotPrimitive
+    return Dtilde, cK
+
+
+def test_validate_agrees_with_the_derivation_by_halves():
+    outcomes = Counter()
+    deltas = 0
+    # real quadratic discriminants, then every D with both index bound outcomes
+    Ds = [D for D in range(5, 61) if D % 4 < 2 and perfect_square_root(D) is None]
+    grid = itertools.chain(
+        itertools.product(Ds, range(-4, 5), range(-2, 3), range(-4, 5), range(-3, 4), (1,)),
+        itertools.product(range(-1, 45), *[range(-1, 2)] * 4, (0, 1)))
+    for D, a0, a1, b0, b1, index_bound in grid:
+        params = CMFieldParams(D, a0, a1, b0, b1, index_bound)
+        expected = _validate_by_halves(params)
+        try:
+            field = validate(params)
+        except FieldValidationError as exc:
+            assert type(exc) is expected, params
+            outcomes[expected.__name__] += 1
+            continue
+        assert (field.Dtilde, field.cK) == expected, params
+        outcomes["valid"] += 1
+        # Dtilde = cK^2 (mod 4D) makes N integral on the whole class of n
+        for dctx in enumerate_delta(field):
+            r = (-field.cK * dctx.delta) % (2 * D)
+            assert (dctx.delta**2 * field.Dtilde - r * r) % (4 * D) == 0, params
+            deltas += 1
+    assert sum(outcomes.values()) >= 20_000
+    assert min(outcomes[name] for name in (
+        "BadRealDiscriminant", "FieldValidationError", "NotTotallyImaginary",
+        "NotPrimitive", "valid")) > 100, outcomes
+    assert deltas > outcomes["valid"]
+
+
+@PROPERTY
+@given(st.integers(), st.sampled_from((0, 1)), st.integers(), st.integers(),
+       st.integers(), st.integers())
+def test_dtilde_identity_property(k, e, a0, a1, b0, b1):
+    D = 4 * k + e
+    params = CMFieldParams(D, a0, a1, b0, b1)
+    cK = congruence_constant(params)
+    A = 2 * cK + a1 * a1 * D
+    B = 2 * a0 * a1 + a1 * a1 * D - 4 * b1
+    Dtilde = cK * cK - 4 * D * (a1 * a1 * b0 - a0 * a1 * b1 + b1 * b1)
+    assert 4 * Dtilde == A * A - B * B * D
+    try:
+        field = validate(params)
+    except FieldValidationError:
+        return
+    assert (field.Dtilde, field.cK) == (Dtilde, cK)
 
 
 def _field_for(D):
@@ -117,6 +189,12 @@ def test_enumerate_n_worked_example():
     assert ctx.support == (2,)
     assert enumerate_n(field, dctx, 3) == ()
     assert enumerate_n(field, dctx, 41) == ()
+
+
+def test_enumerate_n_rejects_a_composite_ell():
+    field = validate(WORKED)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        enumerate_n(field, enumerate_delta(field)[0], 4)
 
 
 def test_ncontext_invariants_on_fuzz():
@@ -240,6 +318,34 @@ def _branches_for(N, d_u):
             assert d_u * d_x - X * X == 4 * N
             out.append(d_x)
     return out
+
+
+E3 = CMFieldParams(228, -21, 1, -22, 38)
+E4 = CMFieldParams(844, 27, -1, -19, 116)
+
+
+def _branch_digest(fields):
+    # read from the builder, so no cache fills; enumeration order
+    digest, count = hashlib.sha256(), 0
+    for field in fields:
+        for dctx in enumerate_delta(field):
+            for b in _build_n_contexts(field, dctx):
+                digest.update(repr((tuple(dctx), b.n, b.N, b.n_u, b.n_x, b.n_w, b.t_xuv,
+                                    b.d_u, b.d_x, b.support)).encode())
+                count += 1
+    return count, digest.hexdigest()
+
+
+def test_branches_of_corpus_and_e3_are_pinned(corpus):
+    assert _branch_digest([*corpus, validate(E3)]) == (
+        17_883, "651bb57465b3d14ffba6119414cc64f19ded2e57f83f8c69ef0c79f21347df84")
+
+
+@pytest.mark.skipif(os.environ.get("CMINTERSECT_SLOW") != "1",
+                    reason="enumerates E4, about 4 s; set CMINTERSECT_SLOW=1")
+def test_branches_of_corpus_e3_and_e4_are_pinned(corpus):
+    assert _branch_digest([*corpus, validate(E3), validate(E4)]) == (
+        117_771, "921dccd4af2c88a77eea4da7208fe626cb914941cec505a1cfde44344444a768")
 
 
 def test_sieve_hands_large_cofactors_to_factorize():

@@ -1,7 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports or a function assigns is used.
 
-A function that moves to another module can leave its imports behind;
-this catches them.  `__init__` only re-exports, so it is exempt.
+A function that moves to another module can leave its imports behind,
+and an edit can leave a local that nothing reads; this catches both.
+`__init__` only re-exports, so it is exempt from the import check.
 """
 
 import ast
@@ -41,3 +42,63 @@ def test_library_modules_use_every_name_they_import():
 def test_the_guard_sees_an_unused_import():
     tree = ast.parse("from fractions import Fraction\nimport math\nmath.gcd(1, 2)\n")
     assert _unused_imports(tree) == ["Fraction"]
+
+
+# nodes that open a scope of their own; their assignments are not the function's
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(func):
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(tree: ast.Module) -> list[tuple[str, str]]:
+    # (function, name) for every name a function assigns and neither it nor
+    # a closure nested inside it reads; `_` is the placeholder, so exempt
+    unused = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        assigned, outer = [], set()
+        for node in _own_nodes(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                assigned.append(node.id)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                assigned.append(node.name)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                outer.update(node.names)
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += sorted({(func.name, name) for name in assigned
+                          if name not in read | outer and name != "_"})
+    return unused
+
+
+def test_library_functions_read_every_name_they_assign():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        unused += [(path.stem, *item) for item in _unused_locals(ast.parse(path.read_text()))]
+    assert unused == []
+
+
+def test_the_guard_sees_an_unused_local():
+    tree = ast.parse(
+        "def f(z):\n"
+        "    a, b = z\n"
+        "    c = d = 0\n"
+        "    for _ in z:\n"
+        "        c += 1\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError as exc:\n"
+        "        pass\n"
+        "    def g():\n"
+        "        e = 1\n"
+        "        return a + c\n"
+        "    return g\n")
+    assert _unused_locals(tree) == [("f", "b"), ("f", "d"), ("f", "exc"), ("g", "e")]

@@ -167,6 +167,16 @@ def test_kronecker_examples():
         kronecker(0, 0)
 
 
+def test_kronecker_at_zero_and_negative_n():
+    # (a|0) is 1 for a = +-1, else 0; (a|-n) = (a|-1)(a|n), (a|-1) the sign of a
+    assert [kronecker(a, 0) for a in (1, -1, 2, -2, 5, -3)] == [1, 1, 0, 0, 0, 0]
+    assert [kronecker(a, -1) for a in (1, -1, 7, -7)] == [1, -1, 1, -1]
+    assert kronecker(-1, -3) == 1 and kronecker(-3, -5) == 1 and kronecker(-2, -7) == 1
+    for a in range(-30, 31):
+        for n in range(1, 30):
+            assert kronecker(a, -n) == (-1 if a < 0 else 1) * kronecker(a, n), (a, n)
+
+
 def test_kronecker_against_square_enumeration():
     for p in (3, 5, 7, 11, 13):
         squares = {x * x % p for x in range(1, p)}
