@@ -11,18 +11,20 @@ Dtilde is not a perfect square.
 Branches of the intersection sum are enumerated in three layers: delta
 (with D - 4*delta a perfect square), then n (a single residue class mod
 2D, both signs, bounded by delta^2 * Dtilde), then the divisor f_u.
-Each (delta, n) branch carries its Hilbert-symbol support, computed once
-and checked against the product formula.  By the norm identity (the
-argument is in `NContext`), every support prime divides N and each
-symbol is a Legendre symbol of d_u or d_x, so only N is sieved, and the
-supports of all branches of one delta are decided in that sieve.  N is
+One column pass a delta (`_branch_columns`) gives each (delta, n)
+branch's values, by finite differences from one closed-form evaluation,
+and its Hilbert-symbol support, checked against the product formula.
+By the norm identity (the argument is in `NContext`), every support
+prime divides N and each symbol is a Legendre symbol of d_u or d_x, so
+only N is sieved, and one delta's supports are decided in it.  N is
 quadratic in the branch index, so the indices a prime divides form at
 most two residue classes (Pomerance's quadratic sieve, EUROCRYPT '84).
 d_u and d_x are linear in the branch index, so one Legendre symbol, read
-by Euler's criterion (one C-level `pow`), decides a whole class.  A
-branch where p divides both d_u and d_x takes the local symbol from the
-valuation v_p(N) the sieve has just found, so `cm_fields` itself calls
-neither `hilbert_symbol` nor `kronecker`.
+by Euler's criterion (one C-level `pow`), decides a whole class: +1
+only strips p, -1 counts the parity of v_p(N), and a branch where p
+divides both d_u and d_x takes the local symbol from the v_p(N) the
+sieve has just found.  `cm_fields` calls neither `hilbert_symbol` nor
+`kronecker`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from ._record import Record
 from .integers import (_TRIAL_PRIMES, _factor_rough, _legendre, _split,
@@ -183,8 +186,7 @@ def enumerate_delta(field: CMFieldData) -> tuple[DeltaContext, ...]:
     return tuple(out)
 
 
-def _supports_by_sieve(Ns: list[int], d_us: list[int], d_xs: list[int],
-                       starts) -> list[tuple[int, ...]]:
+def _supports_by_sieve(Ns, d_us, d_xs, starts) -> list[tuple[int, ...]]:
     """The support of (d_us[i], -Ns[i]) of each branch, ascending.
 
     Ns[i] > 0 is an integer polynomial in i, so p | Ns[i] depends only
@@ -194,14 +196,14 @@ def _supports_by_sieve(Ns: list[int], d_us: list[int], d_xs: list[int],
     a class whose first N is not divisible by p raises
     `IntegralityViolation`.
     Each symbol follows the norm-identity rule stated in `NContext`: one
-    Legendre symbol by Euler's criterion decides a whole sieve class, a
-    cofactor prime above the sieve limit takes the same rule with its own
-    branch's d_u and d_x, and where p divides both, each branch takes the
-    local symbol from the valuation e = v_p(N) that the sieve has just
-    found, against the p-unit -N/p^e.
+    Legendre symbol by Euler's criterion decides a whole sieve class.  A
+    class of symbol +1 only strips p from its cofactors; one of -1 counts
+    the parity of e = v_p(N); where p divides d_u and d_x, each branch
+    takes the local symbol from e, against the p-unit -N/p^e.  A cofactor
+    prime above the limit takes the rule with its own branch's d_u, d_x.
     """
     m = len(Ns)
-    limit = min(10_000, math.isqrt(max(Ns)) + 1)
+    limit = min(10_000, math.isqrt(max(Ns, default=0)) + 1)
     cofactors = list(Ns)
     supports = [[] for _ in range(m)]
     for p in _TRIAL_PRIMES:
@@ -211,35 +213,42 @@ def _supports_by_sieve(Ns: list[int], d_us: list[int], d_xs: list[int],
             if start >= m:  # the class begins past the last branch
                 continue
             # one check covers the class; a wrong class would floor the
-            # cofactors to 0, and the loop below would then never end
+            # cofactors to 0, and the loops below would then never end
             if Ns[start] % p:
                 raise IntegralityViolation(
                     f"sieve class {start} mod {p} holds N = {Ns[start]}, "
                     f"which {p} does not divide")
             sym = _legendre(d_us[start], p) or _legendre(d_xs[start], p)
+            if sym == 1:
+                for i in range(start, m, p):
+                    c = cofactors[i] // p
+                    while c % p == 0:
+                        c //= p
+                    cofactors[i] = c
+                continue
             for i in range(start, m, p):
                 v, e = cofactors[i] // p, 1
                 while v % p == 0:
                     v //= p
                     e += 1
                 cofactors[i] = v
-                if (sym == -1 and e % 2
-                        or not sym and _local_symbol(d_us[i], Ns[i], e, p) == -1):
+                if e % 2 if sym else _local_symbol(d_us[i], Ns[i], e, p) == -1:
                     supports[i].append(p)
-    # no prime below limit is left, so a cofactor below limit^2 is prime
     for i, c in enumerate(cofactors):
-        if c >= limit * limit:
-            rest = _factor_rough(c)
+        # no prime below limit is left, so a cofactor below limit^2 is prime
+        if 1 < c < limit * limit:
+            if _in_support(d_us[i], d_xs[i], Ns[i], 1, c):
+                supports[i].append(c)
         elif c > 1:
-            rest = ((c, 1),)
-        else:
-            continue
-        for q, e in rest:
-            sym = _legendre(d_us[i], q) or _legendre(d_xs[i], q)
-            if (sym == -1 and e % 2
-                    or not sym and _local_symbol(d_us[i], Ns[i], e, q) == -1):
-                supports[i].append(q)
+            supports[i] += [q for q, e in _factor_rough(c)
+                            if _in_support(d_us[i], d_xs[i], Ns[i], e, q)]
     return [tuple(s) for s in supports]
+
+
+def _in_support(d_u: int, d_x: int, N: int, e: int, p: int) -> bool:
+    # (d_u, -N)_p = -1 for a prime p with p^e || N, by `NContext`'s rule
+    sym = _legendre(d_u, p) or _legendre(d_x, p)
+    return sym == -1 and e % 2 == 1 or not sym and _local_symbol(d_u, N, e, p) == -1
 
 
 def _local_symbol(d_u: int, N: int, e: int, p: int) -> int:
@@ -261,13 +270,16 @@ def _sieve_roots(D: int, Dt: int, p: int):
     return s * inv % p, inv
 
 
-def _build_n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
-    """Every branch of one delta, its support decided, never cached.
+def _branch_columns(field: CMFieldData, dctx: DeltaContext) -> tuple:
+    """Every branch of one delta as nine columns in `NContext`'s field order.
 
     All n in the admissible residue class with positive integral N,
-    independent of ell.  The candidate-prime screen calls this directly,
-    one delta at a time, and keeps only the witnesses; the per-ell
-    queries read it through `_n_contexts`.
+    independent of ell.  The closed forms are evaluated once, at the
+    first index k = lo.  n, n_u, n_x, n_w, t_xuv, d_u and d_x are linear in
+    k: `range`s stepping by 2D, -delta, 1, 1, sq, 4 delta and -4.  N is
+    quadratic: (n + 2D)^2 - n^2 = 4D (n + D), so N drops by n + D a step.
+    The norm identity, checked on every branch, catches a wrong step of n,
+    N, t_xuv, d_u or d_x; tests pin n_u, n_x and n_w to their closed forms.
     """
     params = field.params
     D, cK, Dt = params.D, field.cK, field.Dtilde
@@ -278,29 +290,28 @@ def _build_n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext,
     # N is integral: r^2 = cK^2 delta^2 = dd (mod 4D), by validate's identity
     bound = math.isqrt(dd - 1)  # largest |n| with n^2 < delta^2 Dtilde
     lo = -((bound + r) // (2 * D))
-    hi = (bound - r) // (2 * D)
-    branches = []
-    for k in range(lo, hi + 1):
-        n = r + 2 * D * k
-        N = (dd - n * n) // (4 * D)
-        step = (n + cK * delta) // (2 * D)  # exact: n = -cK delta (mod 2D)
-        n_u = -delta * step
-        t_xuv = b1 * delta + sq * step
-        n_x = b0 + a * b1 + step
-        n_w = b0 + (D - a) * b1 + step
-        d_u = dctx.t_u**2 - 4 * n_u
-        d_x = dctx.t_x**2 - 4 * n_x
+    m = (bound - r) // (2 * D) - lo + 1  # the number of branches
+    n = r + 2 * D * lo
+    step = (n + cK * delta) // (2 * D)  # exact: n = -cK delta (mod 2D)
+    n_u, n_x = -delta * step, b0 + a * b1 + step
+    firsts = (n, n_u, n_x, b0 + (D - a) * b1 + step, b1 * delta + sq * step,
+              dctx.t_u**2 - 4 * n_u, dctx.t_x**2 - 4 * n_x)
+    # sq = 0 when 4 delta = D, and a range cannot step by 0
+    ns, n_us, n_xs, n_ws, t_xuvs, d_us, d_xs = (
+        range(v, v + m * diff, diff) if diff else [v] * m
+        for v, diff in zip(firsts, (2 * D, -delta, 1, 1, sq, 4 * delta, -4)))
+    X0 = dctx.t_x * dctx.t_u
+    N, Ns = (dd - n * n) // (4 * D), []
+    for n, t_xuv, d_u, d_x in zip(ns, t_xuvs, d_us, d_xs):
         if d_u >= 0:
             raise IntegralityViolation(f"d_u = {d_u} is not negative")
-        if (d_x * d_u - (dctx.t_x * dctx.t_u - 2 * t_xuv) ** 2) != 4 * N:
+        if d_x * d_u - (X0 - 2 * t_xuv) ** 2 != 4 * N:
             raise IntegralityViolation("norm identity failed; input inconsistent")
-        branches.append((n, N, n_u, n_x, n_w, t_xuv, d_u, d_x))
-    if not branches:
-        return ()
+        Ns.append(N)
+        N -= n + D
     # Sieve k = lo + i.  N(k) is periodic mod p, so p | N exactly when
     # (r + 2Dk)^2 = delta^2 Dtilde (mod p); primes dividing 2D delta
     # Dtilde are found by testing one period.
-    Ns = [b[1] for b in branches]
     g = 2 * D * delta * Dt
 
     def N_starts(p):
@@ -313,16 +324,18 @@ def _build_n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext,
         base = -r * inv - lo
         return (base + delta * s_inv) % p, (base - delta * s_inv) % p
 
-    out = []
-    d_us = [b[6] for b in branches]
-    d_xs = [b[7] for b in branches]
-    for branch, support in zip(branches, _supports_by_sieve(Ns, d_us, d_xs, N_starts)):
+    supports = _supports_by_sieve(Ns, d_us, d_xs, N_starts)
+    for n, support in zip(ns, supports):
         if len(support) % 2 == 0:
             raise IntegralityViolation(
-                f"symbol support {support} of (d_u, -N) at (delta={delta}, n={branch[0]}) "
+                f"symbol support {support} of (d_u, -N) at (delta={delta}, n={n}) "
                 "has even size; product formula failed")
-        out.append(NContext(dctx, *branch, support))
-    return tuple(out)
+    return ns, Ns, n_us, n_xs, n_ws, t_xuvs, d_us, d_xs, supports
+
+
+def _build_n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
+    """`_branch_columns` as one `NContext` a branch, uncached; the screen builds none."""
+    return tuple(map(NContext, repeat(dctx), *_branch_columns(field, dctx)))
 
 
 @lru_cache(maxsize=4096)
@@ -331,7 +344,8 @@ def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
 
     Only `enumerate_n` reads it (so `intersection_number` and
     `special_case_value`), since every prime of a field reuses the same
-    branches; the candidate-prime screen neither reads nor fills it.
+    branches; the candidate-prime screen reads `_branch_columns` and
+    neither reads nor fills this cache.
     maxsize counts (field, delta) entries, not branches: one entry holds
     every branch of its delta, 99,888 NContexts (46 MB) over E4's deltas.
     """

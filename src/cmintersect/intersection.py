@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .cm_fields import (CMFieldData, NContext, _build_n_contexts,
+from .cm_fields import (CMFieldData, NContext, _branch_columns,
                         enumerate_delta, enumerate_fu, enumerate_n)
 from .embedding_counts import EXACT, UPPER_BOUND, build_query, scrJ
 from .integers import _split, factorize, is_prime
@@ -148,20 +148,20 @@ def enumerate_candidate_primes(field: CMFieldData):
     vanishes at ell, and a branch witnesses at most one prime.
     Witnesses are listed in branch order.
 
-    The branches are built one delta at a time and dropped once their
-    witnesses are kept, so the screen holds one delta's branches and
-    the answer, never the whole field: it neither reads nor fills the
-    branch cache of `_n_contexts`.  A caller who screens a field and
-    then queries `intersection_number` on it pays for the branches
-    twice (about 2 s on E4); the first per-ell query fills the cache,
-    as it would without the screen.
+    The screen reads each delta's branch columns from `_branch_columns`,
+    n and the support, and drops them before the next delta: it builds
+    no `NContext`, holds one delta's columns and the answer, never the
+    whole field, and neither reads nor fills the branch cache of
+    `_n_contexts`.  A caller who screens a field and then queries
+    `intersection_number` on it builds the columns twice; the first
+    per-ell query fills the cache, as it would without the screen.
     """
     found: dict[int, list[tuple[int, int]]] = {}
     for dctx in enumerate_delta(field):
-        for nctx in _build_n_contexts(field, dctx):
-            if len(nctx.support) != 1:
-                continue
-            found.setdefault(nctx.support[0], []).append((dctx.delta, nctx.n))
+        # n and support, the first and last columns, unnamed: freed before the next delta
+        for n, support in zip(*_branch_columns(field, dctx)[::8]):
+            if len(support) == 1:
+                found.setdefault(support[0], []).append((dctx.delta, n))
     return tuple(sorted((ell, tuple(ws)) for ell, ws in found.items()))
 
 

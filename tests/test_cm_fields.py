@@ -197,7 +197,7 @@ def test_enumerate_n_rejects_a_composite_ell():
         enumerate_n(field, enumerate_delta(field)[0], 4)
 
 
-def test_ncontext_invariants_on_fuzz():
+def _fuzz_fields():
     rng = random.Random(77)
     fields = []
     while len(fields) < 40:
@@ -213,8 +213,12 @@ def test_ncontext_invariants_on_fuzz():
         if field.Dtilde > 10**7:
             continue
         fields.append(field)
+    return fields
+
+
+def test_ncontext_invariants_on_fuzz():
     branches = 0
-    for field in fields:
+    for field in _fuzz_fields():
         for dctx in enumerate_delta(field):
             for ell in (2, 3):
                 for ctx in enumerate_n(field, dctx, ell):
@@ -227,6 +231,36 @@ def test_ncontext_invariants_on_fuzz():
                     assert (ctx.n + field.cK * dctx.delta) % (2 * field.params.D) == 0
                     branches += 1
     assert branches > 50
+
+
+def test_branch_values_follow_the_closed_forms():
+    # the builder steps every value from its first branch; here each is
+    # the closed form of its own n, and the n run over the whole class
+    fields = [*_fuzz_fields(), validate(CMFieldParams(228, -21, 1, -22, 38))]
+    branches = 0
+    for field in fields:
+        D, cK, Dt = field.params.D, field.cK, field.Dtilde
+        b0, b1 = field.params.beta0, field.params.beta1
+        for dctx in enumerate_delta(field):
+            delta, a, sq = dctx.delta, dctx.a, dctx.sq
+            contexts = _build_n_contexts(field, dctx)
+            for ctx in contexts:
+                assert 4 * D * ctx.N == delta * delta * Dt - ctx.n**2
+                step, rest = divmod(ctx.n + cK * delta, 2 * D)
+                assert rest == 0
+                assert ctx.n_u == -delta * step
+                assert ctx.t_xuv == b1 * delta + sq * step
+                assert ctx.n_x == b0 + a * b1 + step
+                assert ctx.n_w == b0 + (D - a) * b1 + step
+                assert ctx.d_u == dctx.t_u**2 - 4 * ctx.n_u
+                assert ctx.d_x == dctx.t_x**2 - 4 * ctx.n_x
+                branches += 1
+            ns = [ctx.n for ctx in contexts]
+            assert all(y - x == 2 * D for x, y in zip(ns, ns[1:]))
+            if ns:
+                assert ns[0] ** 2 < delta * delta * Dt <= (ns[0] - 2 * D) ** 2
+                assert ns[-1] ** 2 < delta * delta * Dt <= (ns[-1] + 2 * D) ** 2
+    assert branches > 11823 + 1000
 
 
 def test_support_is_direct_symbol_evaluation(corpus):

@@ -3,6 +3,7 @@ import json
 import os
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from cmintersect import (EXACT, UPPER_BOUND, CMFieldData, CMFieldParams,
                          enumerate_fu, enumerate_n, factorize, frakI,
                          hilbert_symbol, intersection_number, is_prime,
                          mu_ell, scrJ, special_case_value, validate)
-from cmintersect import intersection
+from cmintersect import cm_fields, intersection
 from cmintersect.cm_fields import _n_contexts
 from cmintersect.intersection import MODE_INDEX_BOUND, MODE_MONOGENIC
 
@@ -432,9 +433,55 @@ def test_screen_keeps_nothing(corpus):
         assert e3_cands == _candidate_primes_from_the_cache(e3)
     finally:
         _n_contexts.cache_clear()
-    # one delta's branches and the answer: 6.5-6.9 MB with the whole
-    # field held in the cache
-    assert peak < 4 * 2**20
+    # one delta's columns and the answer, about 1.7 MiB: 6.5-6.9 MB with
+    # the whole field held in the cache.  A delta's columns held while the
+    # next is built cost less than the margin here; the next test sees them
+    assert peak < 3 * 2**20
+
+
+def test_screen_frees_each_delta_before_the_next(monkeypatch):
+    # a name bound to one delta's columns would hold them while the next
+    # delta is built; weak references to its N and support columns show
+    # that both are gone by then
+    class Column(list):  # a list that a weak reference can watch
+        pass
+
+    real = intersection._branch_columns
+    watched = []
+
+    def columns(field, dctx):
+        assert [ref() for ref in watched] == [None] * len(watched)
+        ns, Ns, *rest, supports = real(field, dctx)
+        Ns, supports = Column(Ns), Column(supports)
+        watched[:] = [weakref.ref(Ns), weakref.ref(supports)]
+        return (ns, Ns, *rest, supports)
+
+    e3 = validate(E3)
+    expected = enumerate_candidate_primes(e3)
+    monkeypatch.setattr(intersection, "_branch_columns", columns)
+    assert enumerate_candidate_primes(e3) == expected
+    assert len(enumerate_delta(e3)) > 1 and len(watched) == 2
+
+
+def test_screen_builds_no_ncontext(corpus, monkeypatch):
+    # the screen reads the branch columns; a per-ell query wraps them
+    built = Counter()
+    real = cm_fields.NContext
+
+    def counted(*args):
+        built["NContext"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(cm_fields, "NContext", counted)
+    _n_contexts.cache_clear()
+    try:
+        for field in [*corpus, validate(E3)]:
+            enumerate_candidate_primes(field)
+        assert built["NContext"] == 0
+        intersection_number(WORKED, 2)
+    finally:
+        _n_contexts.cache_clear()
+    assert built["NContext"] > 0
 
 
 E5 = CMFieldParams(1997, -59, 1, 2053, 298)
