@@ -24,8 +24,9 @@ ell = 2
 print(f"\nbranches for ell = {ell}:")
 for dctx in enumerate_delta(field):
     for nctx in enumerate_n(field, dctx, ell):
-        print(f"  n={nctx.n}: N={nctx.N}, (n_u, n_x, n_w)=({nctx.n_u}, "
-              f"{nctx.n_x}, {nctx.n_w}), (d_u, d_x)=({nctx.d_u}, {nctx.d_x})")
+        n_u, n_x = (dctx.t_u**2 - nctx.d_u) // 4, (dctx.t_x**2 - nctx.d_x) // 4
+        print(f"  n={nctx.n}: N={nctx.N}, (n_u, n_x, n_w)=({n_u}, "
+              f"{n_x}, {nctx.n_w}), (d_u, d_x)=({nctx.d_u}, {nctx.d_x})")
         print(f"    mu = {mu_ell(nctx, ell)}")
         for f_u in enumerate_fu(nctx, ell):
             query = build_query(nctx, f_u, ell)

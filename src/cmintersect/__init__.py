@@ -3,8 +3,9 @@
 The top-level entry points are `validate` (field input), together with
 `intersection_number`, `enumerate_candidate_primes`, and
 `special_case_value`.  Everything is exact: unbounded integers and
-`fractions.Fraction` throughout.  Each closed form has a brute-force
-oracle in `cmintersect.oracles`, which this package does not import.
+`fractions.Fraction` throughout.  Each closed form but the pair count
+`scrJ` has a brute-force oracle in `cmintersect.oracles`, which this
+package does not import; for `scrJ` only the ideal counts have one.
 """
 
 from .cm_fields import (BadRealDiscriminant, CMFieldData, CMFieldParams,

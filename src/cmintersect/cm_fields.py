@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat, starmap
 
 from ._record import Record
 from .integers import (_TRIAL_PRIMES, _factor_rough, _legendre, _split,
@@ -125,8 +125,6 @@ class NContext(Record):
     delta_ctx: DeltaContext
     n: int
     N: int           # (delta^2 Dtilde - n^2) / (4D), positive
-    n_u: int
-    n_x: int
     n_w: int
     t_xuv: int
     d_u: int
@@ -270,16 +268,25 @@ def _sieve_roots(D: int, Dt: int, p: int):
     return s * inv % p, inv
 
 
+@lru_cache(maxsize=4096)
 def _branch_columns(field: CMFieldData, dctx: DeltaContext) -> tuple:
-    """Every branch of one delta as nine columns in `NContext`'s field order.
+    """Every branch of one delta as seven columns in `NContext`'s field order.
 
     All n in the admissible residue class with positive integral N,
     independent of ell.  The closed forms are evaluated once, at the
-    first index k = lo.  n, n_u, n_x, n_w, t_xuv, d_u and d_x are linear in
-    k: `range`s stepping by 2D, -delta, 1, 1, sq, 4 delta and -4.  N is
-    quadratic: (n + 2D)^2 - n^2 = 4D (n + D), so N drops by n + D a step.
-    The norm identity, checked on every branch, catches a wrong step of n,
-    N, t_xuv, d_u or d_x; tests pin n_u, n_x and n_w to their closed forms.
+    first index k = lo.  n, n_w, t_xuv, d_u and d_x are linear in k:
+    `range`s stepping by 2D, 1, sq, 4 delta and -4 (d_u = t_u^2 - 4 n_u
+    and d_x = t_x^2 - 4 n_x, with n_u and n_x stepping by -delta and 1).
+    N is quadratic: (n + 2D)^2 - n^2 = 4D (n + D), so N drops by n + D a
+    step.  The norm identity, checked on every branch, catches a wrong
+    step of n, N, t_xuv, d_u or d_x; tests pin every value to its closed
+    form.
+
+    Cached for the per-ell queries, since every prime of a field reuses
+    the same branches; callers share the cached lists and must not change
+    them.  `enumerate_n` wraps only its ell | N branches in `NContext`s;
+    the candidate-prime screen calls the builder uncached (`__wrapped__`).
+    maxsize counts (field, delta) entries, not branches: E4's take 14.6 MiB.
     """
     params = field.params
     D, cK, Dt = params.D, field.cK, field.Dtilde
@@ -294,12 +301,12 @@ def _branch_columns(field: CMFieldData, dctx: DeltaContext) -> tuple:
     n = r + 2 * D * lo
     step = (n + cK * delta) // (2 * D)  # exact: n = -cK delta (mod 2D)
     n_u, n_x = -delta * step, b0 + a * b1 + step
-    firsts = (n, n_u, n_x, b0 + (D - a) * b1 + step, b1 * delta + sq * step,
+    firsts = (n, b0 + (D - a) * b1 + step, b1 * delta + sq * step,
               dctx.t_u**2 - 4 * n_u, dctx.t_x**2 - 4 * n_x)
     # sq = 0 when 4 delta = D, and a range cannot step by 0
-    ns, n_us, n_xs, n_ws, t_xuvs, d_us, d_xs = (
+    ns, n_ws, t_xuvs, d_us, d_xs = (
         range(v, v + m * diff, diff) if diff else [v] * m
-        for v, diff in zip(firsts, (2 * D, -delta, 1, 1, sq, 4 * delta, -4)))
+        for v, diff in zip(firsts, (2 * D, 1, sq, 4 * delta, -4)))
     X0 = dctx.t_x * dctx.t_u
     N, Ns = (dd - n * n) // (4 * D), []
     for n, t_xuv, d_u, d_x in zip(ns, t_xuvs, d_us, d_xs):
@@ -330,33 +337,16 @@ def _branch_columns(field: CMFieldData, dctx: DeltaContext) -> tuple:
             raise IntegralityViolation(
                 f"symbol support {support} of (d_u, -N) at (delta={delta}, n={n}) "
                 "has even size; product formula failed")
-    return ns, Ns, n_us, n_xs, n_ws, t_xuvs, d_us, d_xs, supports
-
-
-def _build_n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
-    """`_branch_columns` as one `NContext` a branch, uncached; the screen builds none."""
-    return tuple(map(NContext, repeat(dctx), *_branch_columns(field, dctx)))
-
-
-@lru_cache(maxsize=4096)
-def _n_contexts(field: CMFieldData, dctx: DeltaContext) -> tuple[NContext, ...]:
-    """`_build_n_contexts`, cached for the per-ell queries.
-
-    Only `enumerate_n` reads it (so `intersection_number` and
-    `special_case_value`), since every prime of a field reuses the same
-    branches; the candidate-prime screen reads `_branch_columns` and
-    neither reads nor fills this cache.
-    maxsize counts (field, delta) entries, not branches: one entry holds
-    every branch of its delta, 99,888 NContexts (46 MB) over E4's deltas.
-    """
-    return _build_n_contexts(field, dctx)
+    return ns, Ns, n_ws, t_xuvs, d_us, d_xs, supports
 
 
 def enumerate_n(field: CMFieldData, dctx: DeltaContext, ell: int) -> tuple[NContext, ...]:
     """All n with n = -cK*delta (mod 2D), N positive integral, ell | N."""
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    return tuple(ctx for ctx in _n_contexts(field, dctx) if ctx.N % ell == 0)
+    columns = _branch_columns(field, dctx)
+    keep = [N % ell == 0 for N in columns[1]]
+    return tuple(starmap(NContext, compress(zip(repeat(dctx), *columns), keep)))
 
 
 def enumerate_fu(nctx: NContext, ell: int) -> tuple[int, ...]:

@@ -148,18 +148,15 @@ def enumerate_candidate_primes(field: CMFieldData):
     vanishes at ell, and a branch witnesses at most one prime.
     Witnesses are listed in branch order.
 
-    The screen reads each delta's branch columns from `_branch_columns`,
-    n and the support, and drops them before the next delta: it builds
-    no `NContext`, holds one delta's columns and the answer, never the
-    whole field, and neither reads nor fills the branch cache of
-    `_n_contexts`.  A caller who screens a field and then queries
-    `intersection_number` on it builds the columns twice; the first
-    per-ell query fills the cache, as it would without the screen.
+    The screen builds each delta's branch columns uncached, reads n and
+    the support, and drops them before the next delta: it builds no
+    `NContext` and holds one delta's columns and the answer, never the
+    whole field.
     """
     found: dict[int, list[tuple[int, int]]] = {}
     for dctx in enumerate_delta(field):
         # n and support, the first and last columns, unnamed: freed before the next delta
-        for n, support in zip(*_branch_columns(field, dctx)[::8]):
+        for n, support in zip(*_branch_columns.__wrapped__(field, dctx)[::6]):
             if len(support) == 1:
                 found.setdefault(support[0], []).append((dctx.delta, n))
     return tuple(sorted((ell, tuple(ws)) for ell, ws in found.items()))

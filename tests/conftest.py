@@ -1,9 +1,11 @@
 import random
+from itertools import repeat
 
 import pytest
 
-from cmintersect import (CMFieldParams, FieldValidationError,
+from cmintersect import (CMFieldParams, FieldValidationError, NContext,
                          perfect_square_root, validate)
+from cmintersect.cm_fields import _branch_columns
 
 CORPUS_SEED = 20240611
 
@@ -58,3 +60,8 @@ def make_corpus(count=60, seed=CORPUS_SEED, dtilde_cap=2_000_000):
 @pytest.fixture(scope="session")
 def corpus():
     return make_corpus()
+
+
+def n_contexts(field, dctx):
+    """Every branch of one delta as an `NContext`, from the cached columns."""
+    return tuple(map(NContext, repeat(dctx), *_branch_columns(field, dctx)))

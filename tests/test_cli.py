@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import cmintersect
-from cmintersect.cm_fields import _build_n_contexts
 from cmintersect.cli import (EXIT_BROKEN_PIPE, EXIT_HYPOTHESIS_VIOLATED,
                              EXIT_INPUT_ERROR, EXIT_OK, main)
+
+from conftest import n_contexts
 
 WORKED = '{"D":5,"alpha":[0,1],"beta":[1,1]}'
 
@@ -195,8 +196,7 @@ def test_batch_file_must_hold_an_array(tmp_path, capsys):
 def test_primes_table_without_candidates():
     # the field's one delta has no branch at all
     field = cmintersect.validate(cmintersect.CMFieldParams(5, -3, 0, 1, 1))
-    assert [_build_n_contexts(field, dctx) for dctx in cmintersect.enumerate_delta(field)] \
-        == [()]
+    assert [n_contexts(field, dctx) for dctx in cmintersect.enumerate_delta(field)] == [()]
     code, text = _run(["primes", "--format", "table", "--field",
                        '{"D":5,"alpha":[-3,0],"beta":[1,1]}'])
     assert (code, text) == (EXIT_OK, "no candidate primes\n")

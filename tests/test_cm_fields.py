@@ -23,10 +23,11 @@ from cmintersect import (BadRealDiscriminant, CMFieldData, CMFieldParams,
                          enumerate_n, factorize, hilbert_symbol, kronecker,
                          padic_val, perfect_square_root, t_pair, validate)
 from cmintersect import cm_fields, integers
-from cmintersect.cm_fields import _build_n_contexts, _n_contexts
+from cmintersect.cm_fields import _branch_columns
 from cmintersect.integers import _TRIAL_PRIMES
 from cmintersect.cli import EXIT_INTERNAL_INVARIANT, main
 
+from conftest import n_contexts
 from test_integers import PROPERTY, PSI_13
 
 WORKED = CMFieldParams(5, 0, 1, 1, 1)
@@ -184,8 +185,7 @@ def test_enumerate_n_worked_example():
     contexts = enumerate_n(field, dctx, 2)
     assert len(contexts) == 1
     ctx = contexts[0]
-    assert (ctx.n, ctx.N, ctx.n_u, ctx.d_u, ctx.n_x, ctx.d_x, ctx.t_xuv) \
-        == (-1, 2, 1, -3, 2, -4, 0)
+    assert (ctx.n, ctx.N, ctx.n_w, ctx.d_u, ctx.d_x, ctx.t_xuv) == (-1, 2, 3, -3, -4, 0)
     assert ctx.support == (2,)
     assert enumerate_n(field, dctx, 3) == ()
     assert enumerate_n(field, dctx, 41) == ()
@@ -243,17 +243,17 @@ def test_branch_values_follow_the_closed_forms():
         b0, b1 = field.params.beta0, field.params.beta1
         for dctx in enumerate_delta(field):
             delta, a, sq = dctx.delta, dctx.a, dctx.sq
-            contexts = _build_n_contexts(field, dctx)
+            contexts = n_contexts(field, dctx)
             for ctx in contexts:
                 assert 4 * D * ctx.N == delta * delta * Dt - ctx.n**2
                 step, rest = divmod(ctx.n + cK * delta, 2 * D)
                 assert rest == 0
-                assert ctx.n_u == -delta * step
                 assert ctx.t_xuv == b1 * delta + sq * step
-                assert ctx.n_x == b0 + a * b1 + step
                 assert ctx.n_w == b0 + (D - a) * b1 + step
-                assert ctx.d_u == dctx.t_u**2 - 4 * ctx.n_u
-                assert ctx.d_x == dctx.t_x**2 - 4 * ctx.n_x
+                # d_u = t_u^2 - 4 n_u, d_x = t_x^2 - 4 n_x with
+                # n_u = -delta step and n_x = b0 + a b1 + step
+                assert ctx.d_u == dctx.t_u**2 + 4 * delta * step
+                assert ctx.d_x == dctx.t_x**2 - 4 * (b0 + a * b1 + step)
                 branches += 1
             ns = [ctx.n for ctx in contexts]
             assert all(y - x == 2 * D for x, y in zip(ns, ns[1:]))
@@ -267,7 +267,7 @@ def test_support_is_direct_symbol_evaluation(corpus):
     branches = 0
     for field in corpus:
         for dctx in enumerate_delta(field):
-            for ctx in _n_contexts(field, dctx):
+            for ctx in n_contexts(field, dctx):
                 primes = factorize(2 * ctx.d_u * ctx.N).primes()
                 direct = tuple(p for p in primes
                                if hilbert_symbol(ctx.d_u, -ctx.N, p) == -1)
@@ -300,7 +300,7 @@ def test_sieved_support_matches_factorize_oracle(corpus):
     cases = Counter()
     for field in fields:
         for dctx in enumerate_delta(field):
-            for ctx in _n_contexts(field, dctx):
+            for ctx in n_contexts(field, dctx):
                 assert ctx.support == _support_by_factorize(ctx), (field.params, ctx.n)
                 branches += 1
                 cases["odd p | d_u, p !| N"] += sum(
@@ -336,7 +336,7 @@ def test_sieved_support_property(stem, b0):
     except FieldValidationError:
         return
     for dctx in enumerate_delta(field):
-        for ctx in _n_contexts(field, dctx):
+        for ctx in n_contexts(field, dctx):
             assert ctx.support == _support_by_factorize(ctx), ctx.n
             assert len(ctx.support) % 2 == 1
 
@@ -359,12 +359,13 @@ E4 = CMFieldParams(844, 27, -1, -19, 116)
 
 
 def _branch_digest(fields):
-    # read from the builder, so no cache fills; enumeration order
+    # enumeration order; n_u and n_x from d_u = t_u^2 - 4 n_u and d_x = t_x^2 - 4 n_x
     digest, count = hashlib.sha256(), 0
     for field in fields:
         for dctx in enumerate_delta(field):
-            for b in _build_n_contexts(field, dctx):
-                digest.update(repr((tuple(dctx), b.n, b.N, b.n_u, b.n_x, b.n_w, b.t_xuv,
+            for b in n_contexts(field, dctx):
+                n_u, n_x = (dctx.t_u**2 - b.d_u) // 4, (dctx.t_x**2 - b.d_x) // 4
+                digest.update(repr((tuple(dctx), b.n, b.N, n_u, n_x, b.n_w, b.t_xuv,
                                     b.d_u, b.d_x, b.support)).encode())
                 count += 1
     return count, digest.hexdigest()
@@ -446,7 +447,7 @@ SHARED_DTILDE = (
 
 def test_sieve_roots_depend_on_d():
     cm_fields._sieve_roots.cache_clear()
-    _n_contexts.cache_clear()
+    _branch_columns.cache_clear()
     try:
         branches = 0
         for pair in SHARED_DTILDE:
@@ -465,12 +466,12 @@ def test_sieve_roots_depend_on_d():
                     assert 2 * D * inv % p == 1, (D, p)
                     assert (2 * D * s_inv) ** 2 % p == Dt % p, (D, p)
                 for dctx in enumerate_delta(field):
-                    for ctx in _n_contexts(field, dctx):
+                    for ctx in n_contexts(field, dctx):
                         assert ctx.support == _support_by_factorize(ctx), (field.params, ctx.n)
                         branches += 1
         assert branches > 200
     finally:
-        _n_contexts.cache_clear()
+        _branch_columns.cache_clear()
 
 
 def test_e3_branches_take_no_public_symbol(monkeypatch):
@@ -487,12 +488,12 @@ def test_e3_branches_take_no_public_symbol(monkeypatch):
 
     for name in ("hilbert_symbol", "kronecker"):
         monkeypatch.setattr(integers, name, counted(name, getattr(integers, name)))
-    _n_contexts.cache_clear()
+    _branch_columns.cache_clear()
     try:
         field = validate(CMFieldParams(228, -21, 1, -22, 38))
-        branches = sum(len(_n_contexts(field, dctx)) for dctx in enumerate_delta(field))
+        branches = sum(len(n_contexts(field, dctx)) for dctx in enumerate_delta(field))
     finally:
-        _n_contexts.cache_clear()
+        _branch_columns.cache_clear()
     assert branches == 11823
     assert calls["hilbert_symbol"] == 0
     assert calls["kronecker"] == 0
@@ -506,7 +507,7 @@ def test_d_u_is_linear_in_the_branch_index(corpus):
     steps = 0
     for field in fields:
         for dctx in enumerate_delta(field):
-            contexts = _n_contexts(field, dctx)
+            contexts = n_contexts(field, dctx)
             for a, b in zip(contexts, contexts[1:]):
                 assert b.d_u - a.d_u == 4 * dctx.delta, field.params
                 assert b.d_x - a.d_x == -4, field.params
@@ -521,7 +522,7 @@ def test_d_u_and_d_x_have_one_symbol_against_minus_n(corpus):
     places = 0
     for field in fields:
         for dctx in enumerate_delta(field):
-            for ctx in _n_contexts(field, dctx):
+            for ctx in n_contexts(field, dctx):
                 for p in factorize(ctx.N).primes():
                     assert hilbert_symbol(ctx.d_u, -ctx.N, p) \
                         == hilbert_symbol(ctx.d_x, -ctx.N, p), (field.params, ctx.n, p)
@@ -539,7 +540,7 @@ def test_even_support_breaks_product_formula(monkeypatch):
     monkeypatch.setattr(cm_fields, "_symbol_at_prime",
                         lambda a, i, b, j, p: -local(a, i, b, j, p) if p == 2
                         else local(a, i, b, j, p))
-    _n_contexts.cache_clear()
+    _branch_columns.cache_clear()
     try:
         field = validate(WORKED)
         with pytest.raises(IntegralityViolation, match="product formula"):
@@ -549,7 +550,7 @@ def test_even_support_breaks_product_formula(monkeypatch):
         assert main(argv, out=out) == EXIT_INTERNAL_INVARIANT
         assert out.getvalue() == ""
     finally:
-        _n_contexts.cache_clear()
+        _branch_columns.cache_clear()
 
 
 def test_flipped_class_symbol_breaks_product_formula(monkeypatch):
@@ -558,17 +559,17 @@ def test_flipped_class_symbol_breaks_product_formula(monkeypatch):
     real = cm_fields._legendre
     monkeypatch.setattr(cm_fields, "_legendre",
                         lambda d, p: -real(d, p) if p == 3 else real(d, p))
-    _n_contexts.cache_clear()
+    _branch_columns.cache_clear()
     try:
         field = validate(CMFieldParams(13, -3, 0, -3, 2))
         with pytest.raises(IntegralityViolation, match="product formula"):
-            _n_contexts(field, enumerate_delta(field)[0])
+            _branch_columns(field, enumerate_delta(field)[0])
         out = io.StringIO()
         argv = ["intersect", "--field", '{"D":13,"alpha":[-3,0],"beta":[-3,2]}', "--ell", "3"]
         assert main(argv, out=out) == EXIT_INTERNAL_INVARIANT
         assert out.getvalue() == ""
     finally:
-        _n_contexts.cache_clear()
+        _branch_columns.cache_clear()
 
 
 def test_enumerate_fu_examples():
@@ -602,7 +603,7 @@ def test_enumerate_fu_matches_square_divisor_scan(corpus):
     branches = 0
     for field in corpus:
         for dctx in enumerate_delta(field):
-            for ctx in _n_contexts(field, dctx):
+            for ctx in n_contexts(field, dctx):
                 for ell in (2, 3, 5, 7):
                     assert enumerate_fu(ctx, ell) == _square_divisor_scan(ctx.d_u, ell), \
                         (field.params, ctx.n, ell)

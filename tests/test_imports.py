@@ -1,8 +1,9 @@
 """Every name a library module imports or a function assigns is used.
 
 A function that moves to another module can leave its imports behind,
-and an edit can leave a local that nothing reads; this catches both.
-`__init__` only re-exports, so it is exempt from the import check.
+an edit can leave a local that nothing reads, and a record can carry a
+field that nothing reads; this catches all three.  `__init__` only
+re-exports, so it is exempt from the import check.
 """
 
 import ast
@@ -102,3 +103,37 @@ def test_the_guard_sees_an_unused_local():
         "        return a + c\n"
         "    return g\n")
     assert _unused_locals(tree) == [("f", "b"), ("f", "d"), ("f", "exc"), ("g", "e")]
+
+
+def _unread_record_fields(trees) -> list[tuple[str, str]]:
+    # (class, field) for every field of a `Record` subclass that no
+    # module reads as an attribute
+    fields, read = [], set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id == "Record" for base in node.bases):
+                fields += [(node.name, item.target.id) for item in node.body
+                           if isinstance(item, ast.AnnAssign)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [(cls, name) for cls, name in fields if name not in read]
+
+
+def test_library_records_read_every_field():
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    assert _unread_record_fields(trees) == []
+
+
+def test_the_guard_sees_an_unread_field():
+    tree = ast.parse(
+        "class Point(Record):\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: int = 0\n"
+        "class Other(tuple):\n"
+        "    w: int\n"
+        "def norm(p):\n"
+        "    p.z = 1\n"
+        "    return p.x\n")
+    assert _unread_record_fields([tree]) == [("Point", "y"), ("Point", "z")]

@@ -19,8 +19,10 @@ from cmintersect import (EXACT, UPPER_BOUND, CMFieldData, CMFieldParams,
                          hilbert_symbol, intersection_number, is_prime,
                          mu_ell, scrJ, special_case_value, validate)
 from cmintersect import cm_fields, intersection
-from cmintersect.cm_fields import _n_contexts
+from cmintersect.cm_fields import _branch_columns
 from cmintersect.intersection import MODE_INDEX_BOUND, MODE_MONOGENIC
+
+from conftest import n_contexts
 
 WORKED = validate(CMFieldParams(5, 0, 1, 1, 1))
 
@@ -211,7 +213,7 @@ def _candidate_primes_bruteforce(field):
     # (d_u, -N)_p = 1 at the other primes of 2 d_u N and -1 at ell
     found = {}
     for dctx in enumerate_delta(field):
-        for ctx in _n_contexts(field, dctx):
+        for ctx in n_contexts(field, dctx):
             primes = {2, *factorize(ctx.d_u).primes(), *factorize(ctx.N).primes()}
             for ell in factorize(ctx.N).primes():
                 if hilbert_symbol(ctx.d_u, -ctx.N, ell) == 1:
@@ -322,7 +324,7 @@ def test_engine_calls_no_public_symbol(corpus, monkeypatch):
             for name in ("kronecker", "hilbert_symbol"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    _n_contexts.cache_clear()
+    _branch_columns.cache_clear()
     try:
         for field in corpus:
             assert enumerate_candidate_primes(field)
@@ -330,7 +332,7 @@ def test_engine_calls_no_public_symbol(corpus, monkeypatch):
                 intersection_number(field, ell)
                 special_case_value(field, ell)
     finally:
-        _n_contexts.cache_clear()
+        _branch_columns.cache_clear()
     assert calls == Counter()
 
 
@@ -394,7 +396,7 @@ def test_queries_check_ell_once(corpus, monkeypatch):
         if modname == "cmintersect" or modname.startswith("cmintersect."):
             if hasattr(module, "is_prime"):
                 monkeypatch.setattr(module, "is_prime", counted(module.is_prime))
-    _n_contexts.cache_clear()
+    _branch_columns.cache_clear()
     factorize.cache_clear()
     try:
         for field in corpus:
@@ -402,7 +404,7 @@ def test_queries_check_ell_once(corpus, monkeypatch):
                 intersection_number(field, ell)
                 special_case_value(field, ell)
     finally:
-        _n_contexts.cache_clear()
+        _branch_columns.cache_clear()
     assert calls["is_prime"] == 9_174
 
 
@@ -410,7 +412,7 @@ def _candidate_primes_from_the_cache(field):
     # the screen as it read the cached branches before it streamed them
     found = {}
     for dctx in enumerate_delta(field):
-        for ctx in _n_contexts(field, dctx):
+        for ctx in n_contexts(field, dctx):
             if len(ctx.support) == 1:
                 found.setdefault(ctx.support[0], []).append((dctx.delta, ctx.n))
     return tuple(sorted((ell, tuple(ws)) for ell, ws in found.items()))
@@ -418,7 +420,7 @@ def _candidate_primes_from_the_cache(field):
 
 def test_screen_keeps_nothing(corpus):
     e3 = validate(E3)
-    _n_contexts.cache_clear()
+    _branch_columns.cache_clear()
     try:
         tracemalloc.start()
         try:
@@ -427,12 +429,12 @@ def test_screen_keeps_nothing(corpus):
         finally:
             tracemalloc.stop()
         screened = [enumerate_candidate_primes(field) for field in corpus]
-        info = _n_contexts.cache_info()
+        info = _branch_columns.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
         assert screened == [_candidate_primes_from_the_cache(field) for field in corpus]
         assert e3_cands == _candidate_primes_from_the_cache(e3)
     finally:
-        _n_contexts.cache_clear()
+        _branch_columns.cache_clear()
     # one delta's columns and the answer, about 1.7 MiB: 6.5-6.9 MB with
     # the whole field held in the cache.  A delta's columns held while the
     # next is built cost less than the margin here; the next test sees them
@@ -446,7 +448,7 @@ def test_screen_frees_each_delta_before_the_next(monkeypatch):
     class Column(list):  # a list that a weak reference can watch
         pass
 
-    real = intersection._branch_columns
+    real = _branch_columns.__wrapped__
     watched = []
 
     def columns(field, dctx):
@@ -458,7 +460,7 @@ def test_screen_frees_each_delta_before_the_next(monkeypatch):
 
     e3 = validate(E3)
     expected = enumerate_candidate_primes(e3)
-    monkeypatch.setattr(intersection, "_branch_columns", columns)
+    monkeypatch.setattr(_branch_columns, "__wrapped__", columns)
     assert enumerate_candidate_primes(e3) == expected
     assert len(enumerate_delta(e3)) > 1 and len(watched) == 2
 
@@ -473,15 +475,48 @@ def test_screen_builds_no_ncontext(corpus, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(cm_fields, "NContext", counted)
-    _n_contexts.cache_clear()
+    _branch_columns.cache_clear()
     try:
         for field in [*corpus, validate(E3)]:
             enumerate_candidate_primes(field)
         assert built["NContext"] == 0
         intersection_number(WORKED, 2)
     finally:
-        _n_contexts.cache_clear()
+        _branch_columns.cache_clear()
     assert built["NContext"] > 0
+
+
+def test_a_query_keeps_no_ncontext(monkeypatch):
+    # the cache holds the columns; a per-ell query wraps only its ell | N
+    # branches in NContexts, and they go with its report
+    built = Counter()
+    real = cm_fields.NContext
+
+    def counted(*args):
+        built["NContext"] += 1
+        return real(*args)
+
+    e3 = validate(E3)
+    monkeypatch.setattr(cm_fields, "NContext", counted)
+    _branch_columns.cache_clear()
+    try:
+        tracemalloc.start()
+        try:
+            intersection_number(e3, 7)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        entries = [_branch_columns(e3, dctx) for dctx in enumerate_delta(e3)]
+        info = _branch_columns.cache_info()
+        assert info.hits == info.misses == info.currsize == len(entries)
+        assert not any(isinstance(value, real)
+                       for columns in entries for column in columns for value in column)
+        divisible = sum(N % 7 == 0 for columns in entries for N in columns[1])
+    finally:
+        _branch_columns.cache_clear()
+    assert built["NContext"] == divisible == 1_690  # of 11,823 branches
+    # E3's cached columns, about 2.8 MiB; 6.5 MiB with an NContext a branch
+    assert kept < 4 * 2**20
 
 
 E5 = CMFieldParams(1997, -59, 1, 2053, 298)

@@ -10,7 +10,7 @@ from cmintersect import (EXACT, CMFieldData, CMFieldParams, ContributionRow,
                          QuadDiscriminant, ScrJQuery, enumerate_delta,
                          enumerate_n, validate)
 from cmintersect._record import Record
-from cmintersect.cm_fields import _n_contexts
+from cmintersect.cm_fields import _branch_columns
 from cmintersect.matrix_ideals import IdealTriple, PMatrix
 
 PARAMS = dict(D=5, alpha0=0, alpha1=1, beta0=1, beta1=1, index_bound=1)
@@ -28,11 +28,10 @@ SAMPLES = [
      "beta1=1, index_bound=1), Dtilde=41, cK=-9)"),
     (DeltaContext, DELTA,
      "DeltaContext(delta=1, a=2, sq=1, C_delta=1, t_u=1, t_x=2, t_w=3)"),
-    (NContext, dict(delta_ctx=DeltaContext(**DELTA), n=-1, N=2, n_u=1, n_x=2,
-                    n_w=3, t_xuv=0, d_u=-3, d_x=-4, support=(2,)),
+    (NContext, dict(delta_ctx=DeltaContext(**DELTA), n=-1, N=2, n_w=3, t_xuv=0,
+                    d_u=-3, d_x=-4, support=(2,)),
      "NContext(delta_ctx=DeltaContext(delta=1, a=2, sq=1, C_delta=1, t_u=1, "
-     "t_x=2, t_w=3), n=-1, N=2, n_u=1, n_x=2, n_w=3, t_xuv=0, d_u=-3, d_x=-4, "
-     "support=(2,))"),
+     "t_x=2, t_w=3), n=-1, N=2, n_w=3, t_xuv=0, d_u=-3, d_x=-4, support=(2,))"),
     (CountResult, dict(value=1, exactness=EXACT),
      "CountResult(value=1, exactness='exact')"),
     (ScrJQuery, dict(d1=QuadDiscriminant(**QUAD), d2=-8, t=Fraction(1, 2),
@@ -150,7 +149,7 @@ def test_defaults():
     assert CMFieldParams(D=5, alpha0=0, alpha1=1, beta0=1, beta1=1).index_bound == 1
     report = IntersectionReport(Fraction(0), EXACT, "monogenic", 3, ())
     assert report.warnings == ()
-    assert NContext(DeltaContext(**DELTA), -1, 2, 1, 2, 3, 0, -3, -4).support == ()
+    assert NContext(DeltaContext(**DELTA), -1, 2, 3, 0, -3, -4).support == ()
 
 
 def test_post_init_check_keeps_its_message():
@@ -187,14 +186,14 @@ def test_field_order_and_defaults_are_checked_at_class_creation():
 
 
 def test_equal_field_data_share_the_branch_cache():
-    _n_contexts.cache_clear()
+    _branch_columns.cache_clear()
     try:
         first = validate(CMFieldParams(5, 0, 1, 1, 1))
         enumerate_n(first, enumerate_delta(first)[0], 2)
         second = validate(CMFieldParams(5, 0, 1, 1, 1))
         assert second is not first and second == first
         enumerate_n(second, enumerate_delta(second)[0], 3)
-        info = _n_contexts.cache_info()
+        info = _branch_columns.cache_info()
         assert (info.hits, info.misses) == (1, 1)
     finally:
-        _n_contexts.cache_clear()
+        _branch_columns.cache_clear()
