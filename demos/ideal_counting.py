@@ -2,12 +2,12 @@
 """Counting ideals of a fixed norm in imaginary quadratic orders.
 
 The closed form is multiplicative over prime powers; an exhaustive
-Hermite-normal-form sublattice enumeration arbitrates every value.  The
-classical non-invertible ideal (2, 1 + sqrt(-3)) of Z[sqrt(-3)] shows why
-the invertibility filter matters.
+Hermite-normal-form sublattice enumeration arbitrates every value.  Both
+count invertible ideals only, and leave out the classical non-invertible
+ideal (2, 1 + sqrt(-3)) of Z[sqrt(-3)].
 """
 
-from cmintersect import count_all_ideals, count_invertible_ideals, discriminant_of
+from cmintersect import count_invertible_ideals, discriminant_of
 from cmintersect.oracles import count_ideals_bruteforce
 
 print("Discriminant decomposition d = f^2 * d0:")
@@ -26,9 +26,9 @@ print("sublattice closed under multiplication is the classical ideal")
 print("(2, 1 + sqrt(-3)), whose multiplier ring is the full Eisenstein")
 print("order, so it is NOT invertible:")
 disc12 = discriminant_of(-12)
-print(f"  closed sublattices of index 2:     "
-      f"{count_ideals_bruteforce(disc12, 2, invertible_only=False)}")
-print(f"  invertible ideals of norm 2:       "
+print(f"  invertible ideals of norm 2, closed form: "
+      f"{count_invertible_ideals(disc12, 2)}")
+print(f"  invertible ideals of norm 2, oracle:      "
       f"{count_ideals_bruteforce(disc12, 2)}")
 
 print("\nClosed form vs exhaustive oracle on a conductor-heavy sample:")
@@ -40,9 +40,3 @@ for d in (-48, -144, -100, -243):
         marker = "ok" if closed == brute else "MISMATCH"
         print(f"  d={d:5d} (f={disc.f})  M={M:3d}: closed {closed}, "
               f"oracle {brute}  [{marker}]")
-
-print("\nAll ideals vs invertible ideals at a conductor prime (d = -48):")
-disc48 = discriminant_of(-48)
-for M in range(1, 9):
-    print(f"  M={M}: all {count_all_ideals(disc48, M)}, "
-          f"invertible {count_invertible_ideals(disc48, M)}")

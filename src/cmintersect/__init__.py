@@ -21,8 +21,7 @@ from .intersection import (ContributionRow, IndexHypothesisViolated,
                            IntersectionReport, enumerate_candidate_primes,
                            intersection_number, mu_ell, special_case_value)
 from .local_roots import count_roots_mod_pk, frakI
-from .quadratic_orders import (QuadDiscriminant, count_all_ideals,
-                               count_invertible_ideals, discriminant_of,
-                               rho2, two_power_factor)
+from .quadratic_orders import (QuadDiscriminant, count_invertible_ideals,
+                               discriminant_of, rho2, two_power_factor)
 
 __version__ = "0.1.0"

@@ -93,7 +93,7 @@ class NContext(Record):
     (d_u, -N)_p = -1.  Both arguments are negative, so the symbol at the
     archimedean place is -1 and the product formula makes the support
     odd in size; the branch can contribute at ell only when the support
-    is exactly (ell,).  It is left empty only on branches built by hand.
+    is exactly (ell,).
 
     The norm identity d_x d_u - X^2 = 4N, X = t_x t_u - 2 t_xuv, makes
     -4N a norm from Q(sqrt(d_u d_x)), so (d_u, -N)_p = (d_x, -N)_p at
@@ -129,7 +129,7 @@ class NContext(Record):
     t_xuv: int
     d_u: int
     d_x: int
-    support: tuple[int, ...] = ()
+    support: tuple[int, ...]
 
 
 def congruence_constant(params: CMFieldParams) -> int:

@@ -21,7 +21,7 @@ from .integers import _split, factorize, is_prime
 # unused here; perfbench/test_perfbench.py reads intersection.hilbert_symbol
 from .integers import hilbert_symbol  # noqa: F401
 from .local_roots import frakI
-from .quadratic_orders import count_all_ideals, discriminant_of
+from .quadratic_orders import count_invertible_ideals, discriminant_of
 
 MODE_MONOGENIC = "monogenic"
 MODE_INDEX_BOUND = "index-bound"
@@ -49,7 +49,7 @@ class IntersectionReport(Record):
     mode: str
     ell: int
     rows: tuple[ContributionRow, ...]
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
 
 
 def mu_ell(nctx: NContext, ell: int) -> Fraction:
@@ -166,8 +166,10 @@ def special_case_value(field: CMFieldData, ell: int):
     """Simplified sum valid when every d_u is fundamental and ell misses delta.
 
     Returns None unless the hypotheses hold for every enumerated branch;
-    the branch constant here is 1/2 (not 2) when 4 delta = D, following
-    the simplified statement's own convention.  Only branches whose
+    the branch constant here is 1/C_delta, 1/2 (not 2) when 4 delta = D,
+    following the simplified statement's own convention.  Every d_u has
+    conductor 1, so its ideals are all invertible and
+    `count_invertible_ideals` counts them all.  Only branches whose
     support holds no prime but ell are summed (`vanishing_test`'s rule),
     with weight 2^#{p | d_u, p | N, p != ell}.  The others add 0: a
     support prime p != ell dividing d_u is the statement's own zero, and
@@ -183,7 +185,7 @@ def special_case_value(field: CMFieldData, ell: int):
         return None
     total = Fraction(0)
     for dctx in deltas:
-        c_delta = Fraction(1, 2) if 4 * dctx.delta == field.params.D else Fraction(1)
+        c_delta = Fraction(1, dctx.C_delta)
         for nctx in enumerate_n(field, dctx, ell):
             disc = discriminant_of(nctx.d_u)
             if disc.f != 1:
@@ -193,5 +195,5 @@ def special_case_value(field: CMFieldData, ell: int):
             shared = sum(1 for p in factorize(disc.d).primes()
                          if p != ell and nctx.N % p == 0)
             total += (c_delta * _mu(nctx, ell) * 2**shared
-                      * count_all_ideals(disc, nctx.N // ell))
+                      * count_invertible_ideals(disc, nctx.N // ell))
     return total

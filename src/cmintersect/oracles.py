@@ -76,9 +76,8 @@ def _contains_int(a: int, b: int, c: int, w1: int, w2: int) -> bool:
     return (w1 - (w2 // c) * b) % a == 0
 
 
-def count_ideals_bruteforce(disc: QuadDiscriminant, M: int,
-                            invertible_only: bool = True) -> int:
-    """Oracle: exhaustive HNF sublattice enumeration with direct tests.
+def count_ideals_bruteforce(disc: QuadDiscriminant, M: int) -> int:
+    """Oracle for `count_invertible_ideals`: exhaustive HNF enumeration.
 
     Sublattices of index M have column bases (a, 0), (b, c) over (1, alpha)
     with a*c = M, 0 <= b < a.  Ideal test: both alpha-multiples of the basis
@@ -110,19 +109,15 @@ def count_ideals_bruteforce(disc: QuadDiscriminant, M: int,
                 continue
             if not _contains_int(a, b, c, -c * q, b + c * d):
                 continue
-            if invertible_only:
-                inflated = False
-                for p, s in probes:
-                    # apply x_p = s + alpha/p to both basis vectors
-                    in_a = _lattice_contains(a, b, c, s * a, Fraction(a, p))
-                    in_b = _lattice_contains(a, b, c, s * b - Fraction(c * q, p),
-                                             s * c + Fraction(b + c * d, p))
-                    if in_a and in_b:
-                        inflated = True
-                        break
-                if inflated:
-                    continue
-            total += 1
+            for p, s in probes:
+                # apply x_p = s + alpha/p to both basis vectors
+                in_a = _lattice_contains(a, b, c, s * a, Fraction(a, p))
+                in_b = _lattice_contains(a, b, c, s * b - Fraction(c * q, p),
+                                         s * c + Fraction(b + c * d, p))
+                if in_a and in_b:
+                    break  # the multiplier ring is larger: not invertible
+            else:
+                total += 1
     return total
 
 

@@ -6,7 +6,10 @@ alpha; its norm is its index.  `count_invertible_ideals` is the closed
 form (multiplicative over prime powers, split/inert/ramified away from
 the conductor, quadratic-congruence root counts at conductor primes);
 `oracles.count_ideals_bruteforce`, a Hermite-normal-form enumeration,
-arbitrates it in the tests.
+arbitrates it in the tests.  It is the one ideal count: the pair counts
+of orders that need not be maximal count invertible ideals (Lauter and
+Viray's extension of Gross-Zagier), and in a maximal order, conductor 1,
+where `special_case_value` counts, every ideal is invertible.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ def discriminant_of(d: int) -> QuadDiscriminant:
     return QuadDiscriminant(d, d0, f)
 
 
-def _local_count(d: int, f: int, p: int, k: int, invertible_only: bool) -> int:
-    # ideals of norm p^k of the order of discriminant d, locally at p; k >= 1
-    # (an exponent from `factorize`)
+def _local_count(d: int, f: int, p: int, k: int) -> int:
+    # invertible ideals of norm p^k of the order of discriminant d, locally
+    # at p; k >= 1 (an exponent from `factorize`)
     if f % p:
         chi = _legendre(d, p)
         if chi == 1:
@@ -60,9 +63,8 @@ def _local_count(d: int, f: int, p: int, k: int, invertible_only: bool) -> int:
     shift, half = (2, 2) if p == 2 else (0, 1)
     total = 0
     for j in range(k % 2, k + 1, 2):
-        total += _count(p, j + shift, 0, -d) // half
-        if invertible_only:
-            total -= _count(p, j + shift + 1, 0, -d) // (half * p)
+        total += (_count(p, j + shift, 0, -d) // half
+                  - _count(p, j + shift + 1, 0, -d) // (half * p))
     return total
 
 
@@ -72,17 +74,7 @@ def count_invertible_ideals(disc: QuadDiscriminant, M: int) -> int:
         raise ValueError("norm must be positive")
     total = 1
     for p, k in factorize(M).factors:
-        total *= _local_count(disc.d, disc.f, p, k, invertible_only=True)
-    return total
-
-
-def count_all_ideals(disc: QuadDiscriminant, M: int) -> int:
-    """All integral ideals of norm M, invertible or not."""
-    if M < 1:
-        raise ValueError("norm must be positive")
-    total = 1
-    for p, k in factorize(M).factors:
-        total *= _local_count(disc.d, disc.f, p, k, invertible_only=False)
+        total *= _local_count(disc.d, disc.f, p, k)
     return total
 
 

@@ -117,7 +117,8 @@ def test_frakI_is_one_for_unit_fu_across_branches():
 
 def _synthetic_branch(delta, t_u, t_w, n_w, d_u):
     dctx = DeltaContext(delta=delta, a=0, sq=0, C_delta=1, t_u=t_u, t_x=0, t_w=t_w)
-    return NContext(delta_ctx=dctx, n=0, N=1, n_w=n_w, t_xuv=0, d_u=d_u, d_x=0)
+    return NContext(delta_ctx=dctx, n=0, N=1, n_w=n_w, t_xuv=0, d_u=d_u, d_x=0,
+                    support=())
 
 
 def test_frakI_level_sum_example():

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cmintersect import (QuadDiscriminant, count_all_ideals,
-                         count_invertible_ideals, discriminant_of, factorize,
-                         rho2, two_power_factor)
+from cmintersect import (QuadDiscriminant, count_invertible_ideals,
+                         discriminant_of, factorize, rho2, two_power_factor)
 from cmintersect.matrix_ideals import val_ext
 from cmintersect.oracles import count_ideals_bruteforce
 
@@ -58,7 +57,6 @@ def test_bruteforce_examples():
     # (2, 1 + sqrt(-3)) is the classical non-invertible ideal of Z[sqrt(-3)]:
     # the lone closed index-2 sublattice has multiplier ring Z[(1+sqrt(-3))/2]
     assert count_ideals_bruteforce(discriminant_of(-12), 2) == 0
-    assert count_ideals_bruteforce(discriminant_of(-12), 2, invertible_only=False) == 1
     with pytest.raises(ValueError):
         count_ideals_bruteforce(discriminant_of(-3), 10**5)
 
@@ -70,8 +68,6 @@ def test_counts_match_bruteforce_small_slice():
         disc = discriminant_of(d)
         for M in range(1, 30):
             assert count_invertible_ideals(disc, M) == count_ideals_bruteforce(disc, M), (d, M)
-            assert count_all_ideals(disc, M) == count_ideals_bruteforce(
-                disc, M, invertible_only=False), (d, M)
 
 
 @PROPERTY
@@ -80,8 +76,6 @@ def test_counts_match_bruteforce_small_slice():
 def test_counts_match_bruteforce_property(d, M):
     disc = discriminant_of(d)
     assert count_invertible_ideals(disc, M) == count_ideals_bruteforce(disc, M)
-    assert count_all_ideals(disc, M) == count_ideals_bruteforce(
-        disc, M, invertible_only=False)
 
 
 def test_counts_match_character_divisor_sum():

@@ -147,9 +147,11 @@ def test_defaults():
     assert CMFieldParams(5, 0, 1, 1, 1) == CMFieldParams(**PARAMS)
     assert CMFieldParams(5, 0, 1, 1, 1, index_bound=3).index_bound == 3
     assert CMFieldParams(D=5, alpha0=0, alpha1=1, beta0=1, beta1=1).index_bound == 1
-    report = IntersectionReport(Fraction(0), EXACT, "monogenic", 3, ())
-    assert report.warnings == ()
-    assert NContext(DeltaContext(**DELTA), -1, 2, 3, 0, -3, -4).support == ()
+    # index_bound is the one record default; every other field must be given
+    with pytest.raises(TypeError):
+        IntersectionReport(Fraction(0), EXACT, "monogenic", 3, ())
+    with pytest.raises(TypeError):
+        NContext(DeltaContext(**DELTA), -1, 2, 3, 0, -3, -4)
 
 
 def test_post_init_check_keeps_its_message():
