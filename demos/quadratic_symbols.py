@@ -33,7 +33,7 @@ print("\nProduct formula: the symbols over all places multiply to 1.")
 rng = random.Random(7)
 for _ in range(5):
     a, b = rng.randint(-500, 500) or 3, rng.randint(-500, 500) or 5
-    places = sorted({2} | set(factorize(a).primes()) | set(factorize(b).primes()))
+    places = sorted({2} | {p for p, _ in factorize(a)} | {p for p, _ in factorize(b)})
     symbols = [hilbert_symbol(a, b, INFINITY)]
     symbols += [hilbert_symbol(a, b, p) for p in places]
     prod = 1

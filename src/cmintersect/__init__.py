@@ -15,8 +15,8 @@ from .cm_fields import (BadRealDiscriminant, CMFieldData, CMFieldParams,
                         enumerate_fu, enumerate_n, t_pair, validate)
 from .embedding_counts import (EXACT, UPPER_BOUND, CountResult, ScrJQuery,
                                build_query, scrJ, vanishing_test)
-from .integers import (INFINITY, Factorization, factorize, hilbert_symbol,
-                       is_prime, kronecker, padic_val, perfect_square_root)
+from .integers import (INFINITY, factorize, hilbert_symbol, is_prime,
+                       kronecker, padic_val, perfect_square_root)
 from .intersection import (ContributionRow, IndexHypothesisViolated,
                            IntersectionReport, enumerate_candidate_primes,
                            intersection_number, mu_ell, special_case_value)

@@ -12,11 +12,9 @@ namedtuple.
 
 Being a tuple, a record is also a read-only sequence of its field
 values: `len`, iteration, indexing, unpacking, `in`, `count` and `index`
-work on it, and `record + record` gives a plain tuple where the class
-defines no `__add__`.  One hazard comes with that: a class that defines
-`__mul__` but not `__rmul__` (`PMatrix`) meets `tuple.__rmul__` on
-`int * record`, so `2 * PMatrix.of(1, 0, 0, 1)` is an 8-tuple of
-repeated fields, not a scaled matrix and not an error.
+work on it.  Tuple arithmetic does not: `record + record`,
+`record * int` and `int * record` raise `TypeError` unless the class
+defines the operator itself, as `PMatrix` defines `+` and `*`.
 
 Apart from that a record behaves as a frozen dataclass does.  Equality
 holds only between records of the same class: a record never equals a
@@ -41,6 +39,12 @@ from collections import _tuplegetter
 
 def _unordered(self, other):
     raise TypeError(f"{type(self).__qualname__} records are not ordered")
+
+
+def _no_arithmetic(self, other):
+    # raising, not NotImplemented: the interpreter would then fall back to
+    # tuple concatenation and repetition
+    raise TypeError(f"{type(self).__qualname__} records have no tuple arithmetic")
 
 
 class _RecordType(type):
@@ -91,6 +95,8 @@ class Record(tuple, metaclass=_RecordType):
     __hash__ = tuple.__hash__
 
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    __add__ = __mul__ = __rmul__ = _no_arithmetic
 
     def __repr__(self):
         body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self))

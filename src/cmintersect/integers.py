@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 
-from ._record import Record
-
 INFINITY = float("inf")
 
 # the primes up to 41; the first strong pseudoprime to all of them exceeds
@@ -77,22 +75,6 @@ def _split(a: int, p: int) -> tuple[int, int]:
     return a, e
 
 
-class Factorization(Record):
-    """Sign and ordered (prime, exponent) pairs; recomposes to the input."""
-
-    sign: int
-    factors: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        n = self.sign
-        for p, e in self.factors:
-            n *= p**e
-        return n
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
 def _primes_below(n: int) -> tuple[int, ...]:
     sieve = bytearray([1]) * n
     sieve[:2] = b"\0\0"
@@ -138,16 +120,15 @@ def _pollard_brent(n: int) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def factorize(n: int) -> Factorization:
-    """Complete prime factorization of n != 0, deterministic.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The ascending (prime, exponent) pairs of |n| for n != 0, deterministic.
 
-    Trial division by the primes below 10^4, then Brent-Pollard rho on
-    the remaining cofactors; comfortably fast for |n| <= 10^12 and usable
-    well beyond.
+    factorize(1) == factorize(-1) == ().  Trial division by the primes
+    below 10^4, then Brent-Pollard rho on the remaining cofactors;
+    comfortably fast for |n| <= 10^12 and usable well beyond.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    sign = -1 if n < 0 else 1
     n = abs(n)
     found: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
@@ -158,7 +139,7 @@ def factorize(n: int) -> Factorization:
             n //= p
     # what trial division leaves has only larger primes, so the two parts
     # concatenate in ascending order
-    return Factorization(sign, tuple(sorted(found.items())) + _factor_rough(n))
+    return tuple(sorted(found.items())) + _factor_rough(n)
 
 
 def _factor_rough(n: int) -> tuple[tuple[int, int], ...]:

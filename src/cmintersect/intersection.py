@@ -192,7 +192,7 @@ def special_case_value(field: CMFieldData, ell: int):
                 return None
             if any(p != ell for p in nctx.support):
                 continue
-            shared = sum(1 for p in factorize(disc.d).primes()
+            shared = sum(1 for p, _ in factorize(disc.d)
                          if p != ell and nctx.N % p == 0)
             total += (c_delta * _mu(nctx, ell) * 2**shared
                       * count_invertible_ideals(disc, nctx.N // ell))

@@ -76,7 +76,7 @@ def frakI(nctx, f_u: int, ell: int) -> int:
     """
     dctx = nctx.delta_ctx
     total = 1
-    for p, vp in factorize(dctx.delta).factors:
+    for p, vp in factorize(dctx.delta):
         if p == ell:
             continue
         r_p = local_weight_exponent(vp, f_u, nctx.d_u, dctx.t_u, p)

@@ -80,10 +80,6 @@ class PMatrix(Record):
         s = Fraction(s)
         return PMatrix(self.a * s, self.b * s, self.c * s, self.d * s)
 
-    def shift(self, s) -> "PMatrix":
-        s = Fraction(s)
-        return PMatrix(self.a + s, self.b, self.c, self.d + s)
-
     def inverse(self) -> "PMatrix":
         det = self.norm
         if det == 0:
@@ -232,14 +228,13 @@ def right_order_contains(I: IdealTriple, y: PMatrix) -> bool:
 def is_optimally_embedded(w: PMatrix, p: int) -> bool:
     """No strictly larger element: (w + s)/p is non-integral for every shift.
 
-    Scans a full residue system mod p^2; w itself must be integral.
+    w itself must be integral.  For an integral w = [[a, b], [c, d]] some
+    shift (w + s)/p is integral exactly when p divides b, c and a - d
+    (take s = -a mod p), so w is optimal when one of the three has
+    valuation 0.
     """
-    if not w.is_integral_at(p):
-        return False
-    for s in range(p * p):
-        if w.shift(s).scale(Fraction(1, p)).is_integral_at(p):
-            return False
-    return True
+    return w.is_integral_at(p) and min(
+        val_ext(w.b, p), val_ext(w.c, p), val_ext(w.a - w.d, p)) == 0
 
 
 def _check_optimal(y: PMatrix, p: int, r: int) -> None:
@@ -267,7 +262,9 @@ def canonical_conjugate(y: PMatrix, p: int, r: int) -> PMatrix:
 
     Built from the three explicit cases keyed on which of c, b, a - d has
     valuation exactly -r.  Checking c first makes a matrix already in
-    companion form return the identity.
+    companion form return the identity.  `_check_optimal` makes all three
+    valuations at least -r with minimum -r, so when neither c nor b has
+    valuation -r, a - d does: the third case needs no test of its own.
     """
     _check_optimal(y, p, r)
     a, b, c, d = y.entries()
@@ -276,11 +273,8 @@ def canonical_conjugate(y: PMatrix, p: int, r: int) -> PMatrix:
         A = PMatrix(c * pr, -a * pr, Fraction(0), Fraction(1))
     elif val_ext(b, p) == -r:
         A = PMatrix(-d * pr, b * pr, Fraction(1), Fraction(0))
-    elif val_ext(a - d, p) == -r and val_ext(b, p) > -r and val_ext(c, p) > -r:
-        A = PMatrix((c - d) * pr, (b - a) * pr, Fraction(1), Fraction(1))
     else:
-        raise ValueError("no entry combination has valuation -r; "
-                         "preconditions of the canonical form are violated")
+        A = PMatrix((c - d) * pr, (b - a) * pr, Fraction(1), Fraction(1))
     if val_ext(A.norm, p) != 0:
         raise ValueError("conjugating matrix is not unimodular at p")
     return A

@@ -90,10 +90,8 @@ def count_ideals_bruteforce(disc: QuadDiscriminant, M: int) -> int:
         raise ValueError("oracle is desk-scale only (M <= 10^4)")
     d, f = disc.d, disc.f
     q = (d * d - d) // 4  # Norm(alpha)
-    probes = []
-    for p, _ in factorize(f).factors if f > 1 else ():
-        # s + alpha/p generates the order of discriminant d/p^2
-        probes.append((p, Fraction(d // (p * p) - d // p, 2)))
+    # s + alpha/p generates the order of discriminant d/p^2
+    probes = [(p, Fraction(d // (p * p) - d // p, 2)) for p, _ in factorize(f)]
 
     total = 0
     for c in range(1, M + 1):
@@ -158,7 +156,7 @@ def scrJ_conjecture(q: ScrJQuery):
     if gcd(gcd(f1, f2), m) != 1:
         return None
     total = 1
-    for p, vpm in factorize(m).factors:
+    for p, vpm in factorize(m):
         if p == q.ell:
             continue
         dp = d1 if f1 % p else d2

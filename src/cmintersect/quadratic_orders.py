@@ -34,7 +34,7 @@ def discriminant_of(d: int) -> QuadDiscriminant:
     if d % 4 not in (0, 1):
         raise ValueError(f"{d} is not 0 or 1 mod 4")
     f = 1
-    for p, e in factorize(d).factors:
+    for p, e in factorize(d):
         f *= p ** (e // 2)
     if (d // (f * f)) % 4 not in (0, 1):
         # squarefree kernel is 2 or 3 mod 4; half the 2-part of f moves back
@@ -73,7 +73,7 @@ def count_invertible_ideals(disc: QuadDiscriminant, M: int) -> int:
     if M < 1:
         raise ValueError("norm must be positive")
     total = 1
-    for p, k in factorize(M).factors:
+    for p, k in factorize(M):
         total *= _local_count(disc.d, disc.f, p, k)
     return total
 
@@ -83,7 +83,7 @@ def two_power_factor(d: int, t, ell: int) -> int:
     if d == 0:
         raise ValueError("discriminant must be nonzero")
     count = 0
-    for p, vp in factorize(d).factors:
+    for p, vp in factorize(d):
         if p == 2 or p == ell:
             continue
         # in lowest terms, v_p(t) >= vp >= 1 iff p^vp divides the numerator

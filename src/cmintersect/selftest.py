@@ -38,7 +38,8 @@ def _hilbert(rng):
         a = rng.randint(-400, 400) or 1
         b = rng.randint(-400, 400) or 1
         prod = hilbert_symbol(a, b, INFINITY)
-        for p in {2} | set(factorize(a).primes()) | set(factorize(b).primes()):
+        for p in ({2} | {p for p, _ in factorize(a)}
+                  | {p for p, _ in factorize(b)}):
             prod *= hilbert_symbol(a, b, p)
         yield prod == 1
 

@@ -126,7 +126,7 @@ def test_criterion_5_hilbert_symbols():
         if a == 0 or b == 0:
             continue
         prod = hilbert_symbol(a, b, INFINITY)
-        for p in {2} | set(factorize(a).primes()) | set(factorize(b).primes()):
+        for p in {2} | {p for p, _ in factorize(a)} | {p for p, _ in factorize(b)}:
             prod *= hilbert_symbol(a, b, p)
         assert prod == 1, (a, b)
         checked += 1
@@ -177,8 +177,8 @@ def test_criterion_6_internal_identities(corpus):
                 d1f = Fraction(nctx.d_u, f_u**2)
                 t = t_pair(nctx, f_u)
                 arg2 = (d1f * nctx.d_x - 2 * t) ** 2 - d1f * nctx.d_x
-                primes = {2} | set(factorize(nctx.d_u).primes()) \
-                    | set(factorize(D).primes()) | set(factorize(4 * D * nctx.N).primes())
+                primes = {2} | {p for p, _ in factorize(nctx.d_u)} \
+                    | {p for p, _ in factorize(D)} | {p for p, _ in factorize(4 * D * nctx.N)}
                 for p in primes:
                     symbol_checks += 1
                     if hilbert_symbol(nctx.d_u, arg1, p) != \

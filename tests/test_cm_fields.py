@@ -268,7 +268,7 @@ def test_support_is_direct_symbol_evaluation(corpus):
     for field in corpus:
         for dctx in enumerate_delta(field):
             for ctx in n_contexts(field, dctx):
-                primes = factorize(2 * ctx.d_u * ctx.N).primes()
+                primes = [p for p, _ in factorize(2 * ctx.d_u * ctx.N)]
                 direct = tuple(p for p in primes
                                if hilbert_symbol(ctx.d_u, -ctx.N, p) == -1)
                 assert ctx.support == direct, (field.params, ctx.n)
@@ -279,7 +279,7 @@ def test_support_is_direct_symbol_evaluation(corpus):
 
 def _support_by_factorize(ctx):
     # the oracle: factor d_u and N one at a time, then the public symbol
-    primes = {2, *factorize(ctx.d_u).primes(), *factorize(ctx.N).primes()}
+    primes = {2} | {p for p, _ in factorize(ctx.d_u)} | {p for p, _ in factorize(ctx.N)}
     return tuple(sorted(p for p in primes if hilbert_symbol(ctx.d_u, -ctx.N, p) == -1))
 
 
@@ -304,7 +304,7 @@ def test_sieved_support_matches_factorize_oracle(corpus):
                 assert ctx.support == _support_by_factorize(ctx), (field.params, ctx.n)
                 branches += 1
                 cases["odd p | d_u, p !| N"] += sum(
-                    p != 2 and ctx.N % p != 0 for p in factorize(ctx.d_u).primes())
+                    p != 2 and ctx.N % p != 0 for p, _ in factorize(ctx.d_u))
                 if ctx.N % 2:
                     cases[_two_adic_case(ctx)] += 1
     assert branches == 6060 + 11823
@@ -344,7 +344,7 @@ def test_sieved_support_property(stem, b0):
 def _branches_for(N, d_u):
     # the d_x = 0, 1 (mod 4) with d_u d_x - X^2 = 4N for an X in
     # [0, 4|d_u|); a prime q > 10^4 dividing d_u divides N, so q | X
-    step = math.prod(q for q in factorize(d_u).primes() if q > 10_000)
+    step = math.prod(q for q, _ in factorize(d_u) if q > 10_000)
     out = []
     for X in range(0, 4 * -d_u, step):
         d_x, r = divmod(X * X + 4 * N, d_u)
@@ -392,14 +392,14 @@ def test_sieve_hands_large_cofactors_to_factorize():
     routes, cofactor_cases = Counter(), Counter()
     for N in (10007 * 10009, 12 * 10007 * 10009, 2**5 * 9973**2, 2 * 99_999_989,
               3 * 10007**2, 5 * 10007**3 * 10009):
-        primes = factorize(N).primes()
+        primes = [p for p, _ in factorize(N)]
         for d_u in (-3, -4, -7, -20, -23, *(-k * p for p in primes for k in (1, 3, 4, 7))):
             if d_u % 4 > 1:  # not a discriminant
                 continue
             for d_x in _branches_for(N, d_u):
                 [support] = cm_fields._supports_by_sieve(
                     [N], [d_u], [d_x], lambda p: (0,) if N % p == 0 else ())
-                expected = tuple(p for p in factorize(2 * d_u * N).primes()
+                expected = tuple(p for p, _ in factorize(2 * d_u * N)
                                  if hilbert_symbol(d_u, -N, p) == -1)
                 assert support == expected, (N, d_u, d_x)
                 for q in primes:
@@ -523,7 +523,7 @@ def test_d_u_and_d_x_have_one_symbol_against_minus_n(corpus):
     for field in fields:
         for dctx in enumerate_delta(field):
             for ctx in n_contexts(field, dctx):
-                for p in factorize(ctx.N).primes():
+                for p, _ in factorize(ctx.N):
                     assert hilbert_symbol(ctx.d_u, -ctx.N, p) \
                         == hilbert_symbol(ctx.d_x, -ctx.N, p), (field.params, ctx.n, p)
                     places += 1

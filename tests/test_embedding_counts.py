@@ -175,7 +175,7 @@ def test_two_power_times_rho2_simplification(corpus):
                         if m.denominator != 1 or gcd(int(m), q.d1.f) != 1:
                             continue
                         lhs = two_power_factor(q.d1.d, q.t, ell) * rho2(q.d1, q.t, q.d2)
-                        shared = sum(1 for p, _ in factorize(q.d1.d).factors
+                        shared = sum(1 for p, _ in factorize(q.d1.d)
                                      if int(m) % p == 0 and p != ell)
                         assert lhs == 2**shared, q
                         checked += 1

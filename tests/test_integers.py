@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmintersect import (INFINITY, Factorization, factorize, hilbert_symbol,
-                         is_prime, kronecker, padic_val, perfect_square_root)
+from cmintersect import (INFINITY, factorize, hilbert_symbol, is_prime,
+                         kronecker, padic_val, perfect_square_root)
 from cmintersect.integers import _TRIAL_PRIMES, _legendre, _split, _sqrt_mod_prime
 from cmintersect.oracles import hilbert_symbol_oracle
 
@@ -40,9 +41,10 @@ def test_split_examples():
 
 
 def test_factorize_examples():
-    assert factorize(1) == Factorization(1, ())
-    assert factorize(-12) == Factorization(-1, ((2, 2), (3, 1)))
-    assert factorize(41) == Factorization(1, ((41, 1),))
+    assert factorize(1) == factorize(-1) == ()
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(-12) == factorize(12)
+    assert factorize(41) == ((41, 1),)
     with pytest.raises(ValueError):
         factorize(0)
 
@@ -57,11 +59,12 @@ def test_factorize_round_trip():
     for n in values:
         if n == 0:
             continue
-        fact = factorize(n)
-        assert fact.value() == n
-        assert all(is_prime(p) for p in fact.primes())
-        assert list(fact.primes()) == sorted(fact.primes())
-        assert all(e >= 1 for _, e in fact.factors)
+        pairs = factorize(n)
+        assert math.prod(p**e for p, e in pairs) == abs(n)
+        primes = [p for p, _ in pairs]
+        assert all(is_prime(p) for p in primes)
+        assert primes == sorted(set(primes))
+        assert all(e >= 1 for _, e in pairs)
 
 
 def test_trial_prime_table():
@@ -75,7 +78,7 @@ def test_strong_pseudoprime_to_bases_up_to_37():
     n = 318665857834031151167461
     assert n == 399165290221 * 798330580441
     assert not is_prime(n)
-    assert factorize(n) == Factorization(1, ((399165290221, 1), (798330580441, 1)))
+    assert factorize(n) == ((399165290221, 1), (798330580441, 1))
     assert is_prime(399165290221) and is_prime(798330580441)
 
 
@@ -119,7 +122,8 @@ def test_witness_switch_points_are_composite():
         assert _strong_probable_prime(n, ALL_WITNESSES[:k])
         assert not _strong_probable_prime(n, ALL_WITNESSES[:k + 1])
         assert not is_prime(n)
-        assert factorize(n).value() == n and len(factorize(n).factors) > 1
+        pairs = factorize(n)
+        assert math.prod(p**e for p, e in pairs) == n and len(pairs) > 1
 
 
 def _chernick_carmichaels(lo, hi):
@@ -298,7 +302,7 @@ def test_hilbert_square_class_invariance_property(a, b, u, k, place):
 def test_hilbert_product_formula_property(a, b):
     # away from 2ab both arguments are units at odd p and the symbol is 1
     prod = hilbert_symbol(a, b, INFINITY)
-    for p in factorize(2 * a * b).primes():
+    for p, _ in factorize(2 * a * b):
         prod *= hilbert_symbol(a, b, p)
     assert prod == 1
 
@@ -323,7 +327,7 @@ def test_hilbert_product_formula():
         if a == 0 or b == 0:
             continue
         prod = hilbert_symbol(a, b, INFINITY)
-        for p in {2} | set(factorize(a).primes()) | set(factorize(b).primes()):
+        for p in {2} | {p for p, _ in factorize(a)} | {p for p, _ in factorize(b)}:
             prod *= hilbert_symbol(a, b, p)
         assert prod == 1, (a, b)
         checked += 1

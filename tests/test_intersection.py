@@ -114,7 +114,7 @@ def _index_check_by_factorize(index, D, ell):
     # the rule as first written: factor the whole index bound
     if index % ell == 0:
         return f"index bound {index} is divisible by ell = {ell}"
-    for p, _ in factorize(index).factors:
+    for p, _ in factorize(index):
         if p <= D // 4:
             return f"index bound {index} is divisible by {p} <= D/4"
     return None
@@ -214,8 +214,8 @@ def _candidate_primes_bruteforce(field):
     found = {}
     for dctx in enumerate_delta(field):
         for ctx in n_contexts(field, dctx):
-            primes = {2, *factorize(ctx.d_u).primes(), *factorize(ctx.N).primes()}
-            for ell in factorize(ctx.N).primes():
+            primes = {2} | {p for p, _ in factorize(ctx.d_u)} | {p for p, _ in factorize(ctx.N)}
+            for ell, _ in factorize(ctx.N):
                 if hilbert_symbol(ctx.d_u, -ctx.N, ell) == 1:
                     continue
                 if all(hilbert_symbol(ctx.d_u, -ctx.N, p) == 1
@@ -287,7 +287,7 @@ def _special_case_statement(field, ell):
             disc = discriminant_of(ctx.d_u)
             if disc.f != 1:
                 return None
-            primes = [p for p in factorize(ctx.d_u).primes() if p != ell]
+            primes = [p for p, _ in factorize(ctx.d_u) if p != ell]
             if any(hilbert_symbol(ctx.d_u, -ctx.N, p) == -1 for p in primes):
                 continue
             weight = 2 ** sum(1 for p in primes if ctx.N % p == 0)

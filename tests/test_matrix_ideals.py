@@ -211,3 +211,36 @@ def test_optimal_embedding_scan():
     y = PMatrix.of(2, 3, 6, 5)
     assert not is_optimally_embedded(y, 3)
     assert not is_optimally_embedded(PMatrix.of(Fraction(1, 3), 0, 0, 1), 3)
+
+
+def _optimal_by_shift_scan(w, p):
+    # the definition: w is integral and (w + s)/p is integral for no shift s
+    # in a full residue system mod p^2
+    if not w.is_integral_at(p):
+        return False
+    return not any(
+        (w + PMatrix.of(s, 0, 0, s)).scale(Fraction(1, p)).is_integral_at(p)
+        for s in range(p * p))
+
+
+def _random_entry(rng, p):
+    # numerator up to p^3; denominator a p-power times a unit at p, mostly 1
+    unit = rng.choice([u for u in (1, 1, 1, 2, 3, 5, 7) if u % p])
+    return Fraction(rng.randint(-p**3, p**3), unit * p ** rng.choice([0, 0, 0, 1, 2]))
+
+
+def test_optimal_embedding_matches_the_shift_scan():
+    rng = random.Random(43)
+    seen = {True: 0, False: 0, "non-integral": 0}
+    for _ in range(3000):
+        p = rng.choice([2, 3, 5, 7])
+        a, b, c, d = (_random_entry(rng, p) for _ in range(4))
+        if rng.random() < 0.5:
+            # near a scalar mod p, where the shifts matter
+            b, c = p * rng.randint(-9, 9) + (rng.random() < 0.2), p * rng.randint(-9, 9)
+            d = a + p * rng.randint(-9, 9)
+        w = PMatrix.of(a, b, c, d)
+        expected = _optimal_by_shift_scan(w, p)
+        assert is_optimally_embedded(w, p) == expected, (w, p)
+        seen[expected if w.is_integral_at(p) else "non-integral"] += 1
+    assert min(seen.values()) > 300, seen

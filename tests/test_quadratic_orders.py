@@ -160,7 +160,7 @@ def test_two_power_factor_examples():
 
 def _two_power_factor_ref(d, t, ell):
     # valuations extended to rationals, v(0) = +inf
-    return 2 ** sum(1 for p, vp in factorize(d).factors
+    return 2 ** sum(1 for p, vp in factorize(d)
                     if p != 2 and p != ell and val_ext(t, p) >= vp)
 
 

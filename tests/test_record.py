@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from cmintersect import (EXACT, CMFieldData, CMFieldParams, ContributionRow,
-                         CountResult, DeltaContext, Factorization,
-                         IntersectionReport, NContext,
+                         CountResult, DeltaContext, IntersectionReport,
+                         NContext,
                          QuadDiscriminant, ScrJQuery, enumerate_delta,
                          enumerate_n, validate)
 from cmintersect._record import Record
@@ -38,8 +38,6 @@ SAMPLES = [
                      f_u=1, N=2, ell=2, support=(2,)),
      "ScrJQuery(d1=QuadDiscriminant(d=-3, d0=-3, f=1), d2=-8, "
      "t=Fraction(1, 2), f_u=1, N=2, ell=2, support=(2,))"),
-    (Factorization, dict(sign=-1, factors=((2, 2), (3, 1))),
-     "Factorization(sign=-1, factors=((2, 2), (3, 1)))"),
     (ContributionRow, ROW,
      "ContributionRow(delta=1, n=-1, f_u=1, C_delta=1, mu=Fraction(1, 1), "
      "frakI=1, scrJ_value=1, scrJ_exactness='exact', product=Fraction(1, 1))"),
@@ -59,8 +57,7 @@ SAMPLES = [
 ]
 IDS = [cls.__name__ for cls, _, _ in SAMPLES]
 # names a class gives by property or method, not by field
-NON_FIELDS = {PMatrix: ("trace", "entries"), IdealTriple: ("norm_exponent",),
-              Factorization: ("value",)}
+NON_FIELDS = {PMatrix: ("trace", "entries"), IdealTriple: ("norm_exponent",)}
 
 
 @pytest.mark.parametrize("cls, fields, text", SAMPLES, ids=IDS)
@@ -116,7 +113,7 @@ def test_other_types_never_compare_equal():
     # same field values, different class
     assert IdealTriple(2, 1, 1, 1) != PMatrix(2, 1, 1, 1)
     assert not IdealTriple(2, 1, 1, 1) == PMatrix(2, 1, 1, 1)
-    assert CountResult(1, EXACT) != Factorization(1, EXACT)
+    assert QuadDiscriminant(-3, -3, 1) != CMFieldData(-3, -3, 1)
     # reflected: a record is a tuple, but the tuple on the left must not
     # decide equality by its values
     assert (5, 0, 1, 1, 1, 1) != params
@@ -125,12 +122,24 @@ def test_other_types_never_compare_equal():
     # unequal classes, in both directions
     triple, matrix = IdealTriple(2, 1, 1, 1), PMatrix(2, 1, 1, 1)
     assert matrix != triple and not matrix == triple
-    assert Factorization(1, EXACT) != CountResult(1, EXACT)
+    assert CMFieldData(-3, -3, 1) != QuadDiscriminant(-3, -3, 1)
     # records are not ordered, against records or tuples, either side
     for left, right in ((params, params), (params, (6,)), ((6,), params),
                         (triple, matrix)):
         with pytest.raises(TypeError):
             left < right
+
+
+def test_records_refuse_tuple_arithmetic():
+    params = CMFieldParams(5, 0, 1, 1, 1)
+    for operation in (lambda: params + params, lambda: params * 2,
+                      lambda: 2 * params, lambda: 2 * PMatrix.of(1, 0, 0, 1)):
+        with pytest.raises(TypeError, match="no tuple arithmetic"):
+            operation()
+    # PMatrix keeps its own sum and product
+    x, y = PMatrix.of(1, 2, 3, 4), PMatrix.of(0, 1, 1, 0)
+    assert x + y == PMatrix.of(1, 3, 4, 4)
+    assert x * y == PMatrix.of(2, 1, 4, 3)
 
 
 @pytest.mark.parametrize("cls, fields, text", SAMPLES, ids=IDS)
