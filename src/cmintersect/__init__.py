@@ -6,22 +6,60 @@ The top-level entry points are `validate` (field input), together with
 `fractions.Fraction` throughout.  Each closed form but the pair count
 `scrJ` has a brute-force oracle in `cmintersect.oracles`, which this
 package does not import; for `scrJ` only the ideal counts have one.
+
+`import cmintersect` executes `_record`, `integers`, `quadratic_orders`,
+`local_roots` and `cm_fields`, which hold `validate` and the
+candidate-prime screen.  The row layer, `embedding_counts` and
+`intersection` (and with them `fractions`), is registered with
+`importlib.util.LazyLoader` and runs on first attribute access.  The
+package reads the row layer's names from those modules on every access,
+so a tracer that rebinds them there is seen here.  Any `import`
+statement that names a lazy module executes it (importlib reads its
+`__spec__`).
 """
+
+import importlib.util
+import sys
 
 from .cm_fields import (BadRealDiscriminant, CMFieldData, CMFieldParams,
                         DeltaContext, FieldValidationError,
-                        IntegralityViolation, NContext, NotPrimitive,
-                        NotTotallyImaginary, congruence_constant, enumerate_delta,
-                        enumerate_fu, enumerate_n, t_pair, validate)
-from .embedding_counts import (EXACT, UPPER_BOUND, CountResult, ScrJQuery,
-                               build_query, scrJ, vanishing_test)
+                        IndexHypothesisViolated, IntegralityViolation,
+                        NContext, NotPrimitive, NotTotallyImaginary,
+                        congruence_constant, enumerate_candidate_primes,
+                        enumerate_delta, enumerate_fu, enumerate_n, validate)
 from .integers import (INFINITY, factorize, hilbert_symbol, is_prime,
                        kronecker, padic_val, perfect_square_root)
-from .intersection import (ContributionRow, IndexHypothesisViolated,
-                           IntersectionReport, enumerate_candidate_primes,
-                           intersection_number, mu_ell, special_case_value)
 from .local_roots import count_roots_mod_pk, frakI
 from .quadratic_orders import (QuadDiscriminant, count_invertible_ideals,
                                discriminant_of, rho2, two_power_factor)
 
 __version__ = "0.1.0"
+
+_ROW_LAYER = {
+    "embedding_counts": ("EXACT", "UPPER_BOUND", "CountResult", "ScrJQuery",
+                         "build_query", "scrJ", "t_pair", "vanishing_test"),
+    "intersection": ("ContributionRow", "IntersectionReport",
+                     "intersection_number", "mu_ell", "special_case_value"),
+}
+_HOME = {name: module for module, names in _ROW_LAYER.items() for name in names}
+
+
+def _lazy(name: str):
+    # importlib's documented LazyLoader recipe
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+embedding_counts = _lazy("embedding_counts")
+intersection = _lazy("intersection")
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[home], name)

@@ -22,11 +22,10 @@ import json
 import os
 import sys
 from collections import Counter
-from fractions import Fraction
 
-from .cm_fields import CMFieldParams, IntegralityViolation, validate
-from .intersection import (IndexHypothesisViolated, enumerate_candidate_primes,
-                           intersection_number, special_case_value)
+from .cm_fields import (CMFieldParams, IndexHypothesisViolated,
+                        IntegralityViolation, enumerate_candidate_primes,
+                        validate)
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
@@ -36,7 +35,7 @@ EXIT_INTERNAL_INVARIANT = 4
 EXIT_BROKEN_PIPE = 141
 
 
-def _rat(x: Fraction) -> list[int]:
+def _rat(x) -> list[int]:
     return [x.numerator, x.denominator]
 
 
@@ -149,6 +148,8 @@ def _emit(payload: dict, fmt: str, out) -> None:
 
 
 def _run_intersect(field_data, ell: int, trace: bool) -> dict:
+    # the row layer loads here, not at import: `primes` never needs it
+    from .intersection import intersection_number
     report = intersection_number(field_data, ell)
     payload = {
         "task": "intersect",
@@ -174,6 +175,7 @@ def _run_primes(field_data) -> dict:
 
 
 def _run_special(field_data, ell: int) -> dict:
+    from .intersection import special_case_value
     value = special_case_value(field_data, ell)
     if value is None:
         return {"task": "special", "ell": ell,

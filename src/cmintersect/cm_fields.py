@@ -25,12 +25,15 @@ only strips p, -1 counts the parity of v_p(N), and a branch where p
 divides both d_u and d_x takes the local symbol from the v_p(N) the
 sieve has just found.  `cm_fields` calls neither `hilbert_symbol` nor
 `kronecker`.
+
+`enumerate_candidate_primes` and `IndexHypothesisViolated` live here, so
+the screen and the CLI's error handling need nothing from the row layer,
+which the package loads on first use.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat, starmap
 
@@ -58,6 +61,10 @@ class NotPrimitive(FieldValidationError):
 
 
 class IntegralityViolation(ArithmeticError):
+    pass
+
+
+class IndexHypothesisViolated(ValueError):
     pass
 
 
@@ -340,6 +347,29 @@ def _branch_columns(field: CMFieldData, dctx: DeltaContext) -> tuple:
     return ns, Ns, n_ws, t_xuvs, d_us, d_xs, supports
 
 
+def enumerate_candidate_primes(field: CMFieldData):
+    """Primes ell that pass the symbol screen, with their witnesses.
+
+    A witness is a branch (delta, n) whose symbol support (the finite
+    primes p with (d_u, -N)_p = -1, see `NContext`) is exactly {ell}, so
+    that ell divides N = (delta^2 Dtilde - n^2)/(4D).  Every other branch
+    vanishes at ell, and a branch witnesses at most one prime.
+    Witnesses are listed in branch order.
+
+    The screen builds each delta's branch columns uncached, reads n and
+    the support, and drops them before the next delta: it builds no
+    `NContext` and holds one delta's columns and the answer, never the
+    whole field.
+    """
+    found: dict[int, list[tuple[int, int]]] = {}
+    for dctx in enumerate_delta(field):
+        # n and support, the first and last columns, unnamed: freed before the next delta
+        for n, support in zip(*_branch_columns.__wrapped__(field, dctx)[::6]):
+            if len(support) == 1:
+                found.setdefault(support[0], []).append((dctx.delta, n))
+    return tuple(sorted((ell, tuple(ws)) for ell, ws in found.items()))
+
+
 def enumerate_n(field: CMFieldData, dctx: DeltaContext, ell: int) -> tuple[NContext, ...]:
     """All n with n = -cK*delta (mod 2D), N positive integral, ell | N."""
     if not is_prime(ell):
@@ -358,9 +388,3 @@ def enumerate_fu(nctx: NContext, ell: int) -> tuple[int, ...]:
     F = discriminant_of(nctx.d_u).f
     return tuple(f for f in range(1, F + 1) if F % f == 0 and (F // f) % ell)
 
-
-def t_pair(nctx: NContext, f_u: int) -> Fraction:
-    """Exact value of (d_x d_u - f_u (t_x t_u - 2 t_xuv)) / (2 f_u^2)."""
-    dctx = nctx.delta_ctx
-    num = nctx.d_x * nctx.d_u - f_u * (dctx.t_x * dctx.t_u - 2 * nctx.t_xuv)
-    return Fraction(num, 2 * f_u * f_u)

@@ -1,12 +1,13 @@
 """Counting pairs of optimal embeddings into supersingular endomorphism rings.
 
 For a branch (delta, n, f_u) the count depends on the order discriminant
-d1 = d_u/f_u^2, the second discriminant d_x, and the pairing value t.  It
-vanishes when a Hilbert symbol is -1 away from ell; under a conductor
-coprimality hypothesis it equals an explicit product (a power of two, a
-two-adic case factor, and an invertible-ideal count), and in all cases
-that product is an upper bound.  Results carry an exactness flag, so a
-bound is never shown as exact.  Cross-check: `oracles.scrJ_conjecture`.
+d1 = d_u/f_u^2, the second discriminant d_x, and the pairing value t
+(`t_pair`).  It vanishes when a Hilbert symbol is -1 away from ell;
+under a conductor coprimality hypothesis it equals an explicit product
+(a power of two, a two-adic case factor, and an invertible-ideal
+count), and in all cases that product is an upper bound.  Results carry
+an exactness flag, so a bound is never shown as exact.  Cross-check:
+`oracles.scrJ_conjecture`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from ._record import Record
-from .cm_fields import NContext, t_pair
+from .cm_fields import NContext
 from .quadratic_orders import (QuadDiscriminant, count_invertible_ideals,
                                discriminant_of, rho2, two_power_factor)
 
@@ -36,6 +37,13 @@ class ScrJQuery(Record):
     N: int                      # (delta^2 Dtilde - n^2) / (4D)
     ell: int
     support: tuple[int, ...]    # finite p with (d_u, -N)_p = -1
+
+
+def t_pair(nctx: NContext, f_u: int) -> Fraction:
+    """Exact value of (d_x d_u - f_u (t_x t_u - 2 t_xuv)) / (2 f_u^2)."""
+    dctx = nctx.delta_ctx
+    num = nctx.d_x * nctx.d_u - f_u * (dctx.t_x * dctx.t_u - 2 * nctx.t_xuv)
+    return Fraction(num, 2 * f_u * f_u)
 
 
 def build_query(nctx: NContext, f_u: int, ell: int) -> ScrJQuery:

@@ -7,12 +7,13 @@ a Fraction a/c enters as a*c, which lies in the same square class, and
 the power of p and the unit residues are read off with integer
 arithmetic.  `kronecker` and `hilbert_symbol` are public for callers,
 tests and tracers; the engine reads every symbol through `_legendre`.
+`fractions` is imported only where a non-int argument is converted,
+so importing this module loads neither it nor `decimal`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 
@@ -261,6 +262,7 @@ def _is_finite_place(place) -> bool:
 def _square_class_int(x) -> int:
     # an integer in the square class of x: a/c -> a*c = (a/c) * c^2
     if type(x) is not int:
+        from fractions import Fraction
         x = Fraction(x)
         x = x.numerator * x.denominator
     return x

@@ -6,6 +6,10 @@ The coefficient of log(ell) is a finite triple sum over branches
 monogenic, no enumerated delta is divisible by ell, and every pair count
 was exact; otherwise it is an upper bound, with a global factor of two
 exactly when some enumerated delta is divisible by ell.
+
+`enumerate_candidate_primes` and `IndexHypothesisViolated` live in
+`cm_fields`, which runs without this row-layer module; both are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .cm_fields import (CMFieldData, NContext, _branch_columns,
+from .cm_fields import (CMFieldData, IndexHypothesisViolated, NContext,
                         enumerate_delta, enumerate_fu, enumerate_n)
+# unused here; perfbench's tracer spans intersection.enumerate_candidate_primes
+from .cm_fields import enumerate_candidate_primes  # noqa: F401
 from .embedding_counts import EXACT, UPPER_BOUND, build_query, scrJ
 from .integers import _split, factorize, is_prime
 # unused here; perfbench/test_perfbench.py reads intersection.hilbert_symbol
@@ -25,10 +31,6 @@ from .quadratic_orders import count_invertible_ideals, discriminant_of
 
 MODE_MONOGENIC = "monogenic"
 MODE_INDEX_BOUND = "index-bound"
-
-
-class IndexHypothesisViolated(ValueError):
-    pass
 
 
 class ContributionRow(Record):
@@ -137,29 +139,6 @@ def intersection_number(field: CMFieldData, ell: int) -> IntersectionReport:
         value=value,
         exactness=EXACT if exact else UPPER_BOUND,
         mode=mode, ell=ell, rows=tuple(rows), warnings=tuple(warnings))
-
-
-def enumerate_candidate_primes(field: CMFieldData):
-    """Primes ell that pass the symbol screen, with their witnesses.
-
-    A witness is a branch (delta, n) whose symbol support (the finite
-    primes p with (d_u, -N)_p = -1, see `NContext`) is exactly {ell}, so
-    that ell divides N = (delta^2 Dtilde - n^2)/(4D).  Every other branch
-    vanishes at ell, and a branch witnesses at most one prime.
-    Witnesses are listed in branch order.
-
-    The screen builds each delta's branch columns uncached, reads n and
-    the support, and drops them before the next delta: it builds no
-    `NContext` and holds one delta's columns and the answer, never the
-    whole field.
-    """
-    found: dict[int, list[tuple[int, int]]] = {}
-    for dctx in enumerate_delta(field):
-        # n and support, the first and last columns, unnamed: freed before the next delta
-        for n, support in zip(*_branch_columns.__wrapped__(field, dctx)[::6]):
-            if len(support) == 1:
-                found.setdefault(support[0], []).append((dctx.delta, n))
-    return tuple(sorted((ell, tuple(ws)) for ell, ws in found.items()))
 
 
 def special_case_value(field: CMFieldData, ell: int):

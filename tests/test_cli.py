@@ -363,22 +363,38 @@ def test_selftest_makes_the_same_checks_in_the_same_order(monkeypatch):
         "5a7c8e6ff79abb0cc36de9b82e2a45ac9066b8ecf1f0d245a4ab07bab32e8a5a")
 
 
-def test_cli_import_leaves_out_dataclasses_and_selftest_code():
-    # every CLI process pays for what `import cmintersect.cli` and its verbs
-    # load; -S keeps modules that site-packages .pth files import out of the
-    # picture
+def _loaded_after(code: str, modules) -> list[str]:
+    # the names in `modules` that a fresh process has loaded after running
+    # `code`; -S keeps modules that site-packages .pth files import out of
+    # the picture
     package_root = str(Path(cmintersect.__file__).resolve().parent.parent)
+    code += f"; import sys; print(*[m for m in {modules!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=package_root))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_cli_import_leaves_out_dataclasses_and_selftest_code():
+    # every CLI process pays for what `import cmintersect.cli` and its verbs load
     unwanted = ("dataclasses", "inspect", "cmintersect.matrix_ideals",
                 "cmintersect.oracles", "cmintersect.selftest")
     verbs = [["intersect", "--field", WORKED, "--ell", "2", "--trace"],
              ["primes", "--field", WORKED], ["special", "--field", WORKED, "--ell", "2"]]
-    code = ("import cmintersect.cli, io, sys; "
-            f"[cmintersect.cli.main(argv, out=io.StringIO()) for argv in {verbs!r}]; "
-            f"print(*[m for m in {unwanted!r} if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=package_root))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert _loaded_after("import cmintersect.cli, io; "
+                         f"[cmintersect.cli.main(argv, out=io.StringIO()) for argv in {verbs!r}]",
+                         unwanted) == []
+    # the candidate-prime screen, from the CLI or the library, runs without
+    # the row layer, whose `fractions` imports `decimal`
+    e3 = '{"D":228,"alpha":[-21,1],"beta":[-22,38]}'
+    screens = [["primes", "--field", WORKED], ["primes", "--field", e3]]
+    fields = [(5, 0, 1, 1, 1), (228, -21, 1, -22, 38)]
+    assert _loaded_after(
+        "import cmintersect, cmintersect.cli, io; "
+        f"[cmintersect.cli.main(argv, out=io.StringIO()) for argv in {screens!r}]; "
+        "[cmintersect.enumerate_candidate_primes(cmintersect.validate("
+        f"cmintersect.CMFieldParams(*p))) for p in {fields!r}]",
+        ("fractions", "decimal")) == []
 
 
 def test_closed_stdout_ends_the_run_without_a_traceback():

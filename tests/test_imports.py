@@ -13,10 +13,14 @@ from pathlib import Path
 import cmintersect
 
 PACKAGE = Path(cmintersect.__file__).resolve().parent
-# The only allowed unused import: perfbench/test_perfbench.py reads
-# intersection.hilbert_symbol, which no engine path calls any more.  It
-# goes with the tracer test's fix (ROADMAP item 1), and then so does this.
-KEPT = {("intersection", "hilbert_symbol")}
+# The only allowed unused imports: perfbench names them in `intersection`.
+# perfbench/test_perfbench.py reads intersection.hilbert_symbol, which no
+# engine path calls any more, and the tracer spans
+# intersection.enumerate_candidate_primes, which lives in `cm_fields`.
+# Both go with the benchmark's own fix (ROADMAP item 1), and then so do
+# these.
+KEPT = {("intersection", "hilbert_symbol"),
+        ("intersection", "enumerate_candidate_primes")}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
