@@ -18,13 +18,14 @@ By the norm identity (the argument is in `NContext`), every support
 prime divides N and each symbol is a Legendre symbol of d_u or d_x, so
 only N is sieved, and one delta's supports are decided in it.  N is
 quadratic in the branch index, so the indices a prime divides form at
-most two residue classes (Pomerance's quadratic sieve, EUROCRYPT '84).
-d_u and d_x are linear in the branch index, so one Legendre symbol, read
-by Euler's criterion (one C-level `pow`), decides a whole class: +1
-only strips p, -1 counts the parity of v_p(N), and a branch where p
-divides both d_u and d_x takes the local symbol from the v_p(N) the
-sieve has just found.  `cm_fields` calls neither `hilbert_symbol` nor
-`kronecker`.
+most two residue classes (Pomerance's quadratic sieve, EUROCRYPT '84),
+read from one plan a field (`_sieve_plan`), which leaves out the primes
+with (Dtilde/p) = -1: they divide no N unless they divide delta.  d_u and
+d_x are linear in the branch index, so one Legendre symbol, read by
+Euler's criterion (one C-level `pow`), decides a whole class: +1 only
+strips p, -1 counts the parity of v_p(N), and where p divides d_u and
+d_x the local symbol takes the v_p(N) the sieve has just found.
+`cm_fields` calls neither `hilbert_symbol` nor `kronecker`.
 
 `enumerate_candidate_primes` and `IndexHypothesisViolated` live here, so
 the screen and the CLI's error handling need nothing from the row layer,
@@ -34,8 +35,9 @@ which the package loads on first use.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from functools import lru_cache
-from itertools import compress, repeat, starmap
+from itertools import compress, repeat, starmap, takewhile
 
 from ._record import Record
 from .integers import (_TRIAL_PRIMES, _factor_rough, _legendre, _split,
@@ -191,30 +193,32 @@ def enumerate_delta(field: CMFieldData) -> tuple[DeltaContext, ...]:
     return tuple(out)
 
 
-def _supports_by_sieve(Ns, d_us, d_xs, starts) -> list[tuple[int, ...]]:
+def _supports_by_sieve(Ns, d_us, d_xs, classes) -> list[tuple[int, ...]]:
     """The support of (d_us[i], -Ns[i]) of each branch, ascending.
 
     Ns[i] > 0 is an integer polynomial in i, so p | Ns[i] depends only
     on i mod p; d_us and d_xs are linear in i with steps divisible by 4,
     so their residues mod p (mod 8 at p = 2) depend only on i mod p too.
-    starts(p) gives the residues mod p of the indices i with p | Ns[i];
-    a class whose first N is not divisible by p raises
-    `IntegralityViolation`.
+    `classes` yields (p, starts) in ascending p, for every prime p below
+    the limit that divides some Ns[i]: starts are the residues mod p of
+    the indices i with p | Ns[i].  A class whose first N is not divisible
+    by p raises `IntegralityViolation`.
     Each symbol follows the norm-identity rule stated in `NContext`: one
     Legendre symbol by Euler's criterion decides a whole sieve class.  A
     class of symbol +1 only strips p from its cofactors; one of -1 counts
     the parity of e = v_p(N); where p divides d_u and d_x, each branch
-    takes the local symbol from e, against the p-unit -N/p^e.  A cofactor
-    prime above the limit takes the rule with its own branch's d_u, d_x.
+    takes the local symbol from e, against the p-unit -N/p^e (at p = 2
+    both valuations are read from the lowest set bit).  A cofactor prime
+    above the limit takes the rule with its own branch's d_u, d_x.
     """
     m = len(Ns)
     limit = min(10_000, math.isqrt(max(Ns, default=0)) + 1)
     cofactors = list(Ns)
-    supports = [[] for _ in range(m)]
-    for p in _TRIAL_PRIMES:
+    supports = [()] * m
+    for p, starts in classes:
         if p >= limit:
             break
-        for start in starts(p):
+        for start in starts:
             if start >= m:  # the class begins past the last branch
                 continue
             # one check covers the class; a wrong class would floor the
@@ -230,24 +234,33 @@ def _supports_by_sieve(Ns, d_us, d_xs, starts) -> list[tuple[int, ...]]:
                     while c % p == 0:
                         c //= p
                     cofactors[i] = c
-                continue
-            for i in range(start, m, p):
-                v, e = cofactors[i] // p, 1
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                cofactors[i] = v
-                if e % 2 if sym else _local_symbol(d_us[i], Ns[i], e, p) == -1:
-                    supports[i].append(p)
+            elif p == 2 and not sym:
+                for i in range(start, m, 2):
+                    c, d_u = cofactors[i], d_us[i]
+                    e, a = (c & -c).bit_length() - 1, (d_u & -d_u).bit_length() - 1
+                    cofactors[i] = c >> e
+                    if _symbol_at_prime(d_u >> a, a, -(Ns[i] >> e), e, 2) == -1:
+                        supports[i] += (2,)
+            else:
+                for i in range(start, m, p):
+                    v, e = cofactors[i] // p, 1
+                    while v % p == 0:
+                        v //= p
+                        e += 1
+                    cofactors[i] = v
+                    if e % 2 if sym else _local_symbol(d_us[i], Ns[i], e, p) == -1:
+                        supports[i] += (p,)
+    square = limit * limit
     for i, c in enumerate(cofactors):
-        # no prime below limit is left, so a cofactor below limit^2 is prime
-        if 1 < c < limit * limit:
-            if _in_support(d_us[i], d_xs[i], Ns[i], 1, c):
-                supports[i].append(c)
+        # no prime below limit is left: a cofactor below limit^2 is a prime q || N
+        if 1 < c < square:
+            sym = _legendre(d_us[i], c)
+            if sym == -1 or not sym and _in_support(d_us[i], d_xs[i], Ns[i], 1, c):
+                supports[i] += (c,)
         elif c > 1:
-            supports[i] += [q for q, e in _factor_rough(c)
-                            if _in_support(d_us[i], d_xs[i], Ns[i], e, q)]
-    return [tuple(s) for s in supports]
+            supports[i] += tuple(q for q, e in _factor_rough(c)
+                                 if _in_support(d_us[i], d_xs[i], Ns[i], e, q))
+    return supports
 
 
 def _in_support(d_u: int, d_x: int, N: int, e: int, p: int) -> bool:
@@ -262,17 +275,27 @@ def _local_symbol(d_u: int, N: int, e: int, p: int) -> int:
     return _symbol_at_prime(u, a, -(N // p**e), e, p)
 
 
-@lru_cache(maxsize=4096)
-def _sieve_roots(D: int, Dt: int, p: int):
-    """(s_p (2D)^-1, (2D)^-1) mod p, s_p^2 = Dtilde, or None if there is no s_p.
+@lru_cache(maxsize=2)
+def _sieve_plan(D: int, Dt: int) -> tuple:
+    """The primes that can divide N on a field with this (D, Dtilde), ascending.
 
-    For p prime to 2D Dtilde; every delta of a field sieves by these.
+    All primes below the largest sieve limit of the field's deltas,
+    min(10^4, isqrt(delta_max^2 Dtilde/(4D)) + 1), delta_max = (D - D mod 2)/4,
+    that divide 2D Dtilde, as (p, None), or have (Dtilde/p) = 1, as
+    (p, (s_p (2D)^-1, (2D)^-1) mod p) with s_p^2 = Dtilde.  For p prime
+    to 2D delta Dtilde, p | 4DN = delta^2 Dtilde - n^2 needs n = +-delta
+    s_p (mod p).  At most 2 plans are kept, about 0.1 MB each on E3-E5.
     """
-    s = _sqrt_mod_prime(Dt, p)
-    if s is None:
-        return None
-    inv = pow(2 * D, -1, p)
-    return s * inv % p, inv
+    delta_max = (D - D % 2) // 4
+    limit = min(10_000, math.isqrt(delta_max**2 * Dt // (4 * D)) + 1)
+    plan = []
+    for p in takewhile(lambda p: p < limit, _TRIAL_PRIMES):
+        if 2 * D * Dt % p == 0:
+            plan.append((p, None))
+        elif (s := _sqrt_mod_prime(Dt, p)) is not None:
+            inv = pow(2 * D, -1, p)
+            plan.append((p, (s * inv % p, inv)))
+    return tuple(plan)
 
 
 @lru_cache(maxsize=4096)
@@ -287,7 +310,8 @@ def _branch_columns(field: CMFieldData, dctx: DeltaContext) -> tuple:
     N is quadratic: (n + 2D)^2 - n^2 = 4D (n + D), so N drops by n + D a
     step.  The norm identity, checked on every branch, catches a wrong
     step of n, N, t_xuv, d_u or d_x; tests pin every value to its closed
-    form.
+    form.  The supports are sieved on k - lo by the field's `_sieve_plan`,
+    with the primes of 2D delta Dtilde found by testing one period.
 
     Cached for the per-ell queries, since every prime of a field reuses
     the same branches; callers share the cached lists and must not change
@@ -323,22 +347,17 @@ def _branch_columns(field: CMFieldData, dctx: DeltaContext) -> tuple:
             raise IntegralityViolation("norm identity failed; input inconsistent")
         Ns.append(N)
         N -= n + D
-    # Sieve k = lo + i.  N(k) is periodic mod p, so p | N exactly when
-    # (r + 2Dk)^2 = delta^2 Dtilde (mod p); primes dividing 2D delta
-    # Dtilde are found by testing one period.
-    g = 2 * D * delta * Dt
-
-    def N_starts(p):
-        if g % p == 0:
-            return [i for i in range(min(p, len(Ns))) if Ns[i] % p == 0]
-        roots = _sieve_roots(D, Dt, p)
-        if roots is None:
-            return ()
-        s_inv, inv = roots
-        base = -r * inv - lo
-        return (base + delta * s_inv) % p, (base - delta * s_inv) % p
-
-    supports = _supports_by_sieve(Ns, d_us, d_xs, N_starts)
+    # the primes of delta, all among the first delta primes, take the
+    # one-period test; another p divides N at n = +-delta s_p (mod p)
+    plan, own = _sieve_plan(D, Dt), {p: None for p in _TRIAL_PRIMES[:delta] if delta % p == 0}
+    if own:
+        plan = sorted({**dict(plan), **own}.items())
+    n0 = firsts[0]  # n at the first branch, i = 0
+    classes = ((p, [i for i in range(min(p, m)) if Ns[i] % p == 0] if roots is None
+                else ((delta * roots[0] - n0 * roots[1]) % p,
+                      (-delta * roots[0] - n0 * roots[1]) % p))
+               for p, roots in plan)
+    supports = _supports_by_sieve(Ns, d_us, d_xs, classes)
     for n, support in zip(ns, supports):
         if len(support) % 2 == 0:
             raise IntegralityViolation(
@@ -361,12 +380,13 @@ def enumerate_candidate_primes(field: CMFieldData):
     `NContext` and holds one delta's columns and the answer, never the
     whole field.
     """
-    found: dict[int, list[tuple[int, int]]] = {}
+    found = defaultdict(list)
     for dctx in enumerate_delta(field):
+        delta = dctx.delta
         # n and support, the first and last columns, unnamed: freed before the next delta
         for n, support in zip(*_branch_columns.__wrapped__(field, dctx)[::6]):
             if len(support) == 1:
-                found.setdefault(support[0], []).append((dctx.delta, n))
+                found[support[0]].append((delta, n))
     return tuple(sorted((ell, tuple(ws)) for ell, ws in found.items()))
 
 

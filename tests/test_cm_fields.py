@@ -398,7 +398,7 @@ def test_sieve_hands_large_cofactors_to_factorize():
                 continue
             for d_x in _branches_for(N, d_u):
                 [support] = cm_fields._supports_by_sieve(
-                    [N], [d_u], [d_x], lambda p: (0,) if N % p == 0 else ())
+                    [N], [d_u], [d_x], [(p, (0,)) for p in _TRIAL_PRIMES if N % p == 0])
                 expected = tuple(p for p, _ in factorize(2 * d_u * N)
                                  if hilbert_symbol(d_u, -N, p) == -1)
                 assert support == expected, (N, d_u, d_x)
@@ -416,17 +416,19 @@ def test_sieve_refutes_a_pseudoprime_cofactor():
     # not, and the sieve raises instead of reading a Jacobi symbol as -1
     N = 2 * PSI_13
     with pytest.raises(ValueError, match="not prime"):
-        cm_fields._supports_by_sieve([N], [-43], [-43], lambda p: (0,) if N % p == 0 else ())
+        cm_fields._supports_by_sieve([N], [-43], [-43],
+                                     [(p, (0,)) for p in _TRIAL_PRIMES if N % p == 0])
 
 
 def test_sieve_refuses_a_class_the_prime_does_not_divide():
-    # 3 does not divide N = 100, so starts(3) is wrong; unchecked, the
+    # 3 does not divide N = 100, so the class 0 mod 3 is wrong; unchecked, the
     # cofactor floors to 0 and the sieve never returns, so the call runs
     # in its own process under a time limit
     package_root = str(Path(cmintersect.__file__).resolve().parent.parent)
     code = ("from cmintersect.cm_fields import IntegralityViolation, _supports_by_sieve\n"
+            "from cmintersect.integers import _TRIAL_PRIMES\n"
             "try:\n"
-            "    _supports_by_sieve([100], [-3], [-8], lambda p: (0,))\n"
+            "    _supports_by_sieve([100], [-3], [-8], [(p, (0,)) for p in _TRIAL_PRIMES])\n"
             "except IntegralityViolation as exc:\n"
             "    print(exc)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -435,8 +437,8 @@ def test_sieve_refuses_a_class_the_prime_does_not_divide():
     assert proc.stdout == "sieve class 0 mod 3 holds N = 100, which 3 does not divide\n"
 
 
-# pairs of fields with one Dtilde and two values of D: the sieve's roots
-# s_p (2D)^-1 and (2D)^-1 mod p depend on D as well as on Dtilde
+# pairs of fields with one Dtilde and two values of D: the sieve plan's
+# roots s_p (2D)^-1 and (2D)^-1 mod p depend on D as well as on Dtilde
 SHARED_DTILDE = (
     (CMFieldParams(24, -3, 1, -1, 3), CMFieldParams(12, -3, 0, -2, 3)),
     (CMFieldParams(12, -3, 0, -1, 3), CMFieldParams(8, -3, 1, 3, 3)),
@@ -445,8 +447,28 @@ SHARED_DTILDE = (
 )
 
 
-def test_sieve_roots_depend_on_d():
-    cm_fields._sieve_roots.cache_clear()
+def _check_sieve_plan(field):
+    # the plan lists exactly the primes below the field's limit that can
+    # divide some N, and that limit covers every delta's own sieve limit
+    D, Dt = field.params.D, field.Dtilde
+    delta_max = (D - D % 2) // 4
+    limit = min(10_000, math.isqrt(delta_max**2 * Dt // (4 * D)) + 1)
+    plan = cm_fields._sieve_plan(D, Dt)
+    assert [p for p, _ in plan] == [p for p in _TRIAL_PRIMES if p < limit
+                                    and (2 * D * Dt % p == 0 or kronecker(Dt, p) == 1)]
+    for p, roots in plan:
+        assert (roots is None) == (2 * D * Dt % p == 0), (D, p)
+        if roots is not None:
+            s_inv, inv = roots
+            assert 2 * D * inv % p == 1, (D, p)
+            assert (2 * D * s_inv) ** 2 % p == Dt % p, (D, p)
+    for dctx in enumerate_delta(field):
+        Ns = _branch_columns(field, dctx)[1]
+        assert min(10_000, math.isqrt(max(Ns, default=0)) + 1) <= limit, (D, dctx.delta)
+
+
+def test_sieve_plan_depends_on_d():
+    cm_fields._sieve_plan.cache_clear()
     _branch_columns.cache_clear()
     try:
         branches = 0
@@ -454,17 +476,7 @@ def test_sieve_roots_depend_on_d():
             first, second = (validate(params) for params in pair)
             assert first.Dtilde == second.Dtilde and first.params.D != second.params.D
             for field in (first, second):
-                D, Dt = field.params.D, field.Dtilde
-                for p in _TRIAL_PRIMES[1:200]:
-                    if (2 * D * Dt) % p == 0:
-                        continue
-                    roots = cm_fields._sieve_roots(D, Dt, p)
-                    if roots is None:
-                        assert kronecker(Dt, p) == -1, (D, p)
-                        continue
-                    s_inv, inv = roots
-                    assert 2 * D * inv % p == 1, (D, p)
-                    assert (2 * D * s_inv) ** 2 % p == Dt % p, (D, p)
+                _check_sieve_plan(field)
                 for dctx in enumerate_delta(field):
                     for ctx in n_contexts(field, dctx):
                         assert ctx.support == _support_by_factorize(ctx), (field.params, ctx.n)
@@ -472,6 +484,11 @@ def test_sieve_roots_depend_on_d():
         assert branches > 200
     finally:
         _branch_columns.cache_clear()
+
+
+def test_sieve_plan_of_corpus_and_e3(corpus):
+    for field in (*corpus, validate(E3)):
+        _check_sieve_plan(field)
 
 
 def test_e3_branches_take_no_public_symbol(monkeypatch):
@@ -568,6 +585,23 @@ def test_flipped_class_symbol_breaks_product_formula(monkeypatch):
         argv = ["intersect", "--field", '{"D":13,"alpha":[-3,0],"beta":[-3,2]}', "--ell", "3"]
         assert main(argv, out=out) == EXIT_INTERNAL_INVARIANT
         assert out.getvalue() == ""
+    finally:
+        _branch_columns.cache_clear()
+
+
+def test_flipped_cofactor_symbol_breaks_product_formula(monkeypatch):
+    # moduli of 10^4 or more are cofactor primes, above the sieve limit;
+    # 6,249 of E3's branches have one below 10^8, which takes (d_u/q) by
+    # `_legendre` and none above, so a flip there breaks the product formula
+    real = cm_fields._legendre
+    monkeypatch.setattr(cm_fields, "_legendre",
+                        lambda d, p: -real(d, p) if p >= 10_000 else real(d, p))
+    _branch_columns.cache_clear()
+    try:
+        field = validate(E3)
+        with pytest.raises(IntegralityViolation, match="product formula"):
+            for dctx in enumerate_delta(field):
+                _branch_columns(field, dctx)
     finally:
         _branch_columns.cache_clear()
 
