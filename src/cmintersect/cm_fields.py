@@ -29,7 +29,11 @@ d_x the local symbol takes the v_p(N) the sieve has just found.
 
 `enumerate_candidate_primes` and `IndexHypothesisViolated` live here, so
 the screen and the CLI's error handling need nothing from the row layer,
-which the package loads on first use.
+which the package loads on first use.  `enumerate_fu` reads
+`discriminant_of` through the module object that the package registers
+lazily before importing this one: `from . import quadratic_orders` binds
+it unexecuted, where `from .quadratic_orders import ...` would execute
+it and `local_roots`, which only the row layer needs.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from ._record import Record
 from .integers import (_TRIAL_PRIMES, _factor_rough, _legendre, _split,
                        _sqrt_mod_prime, _symbol_at_prime, is_prime,
                        perfect_square_root)
-from .quadratic_orders import discriminant_of
+from . import quadratic_orders
 
 
 class FieldValidationError(ValueError):
@@ -405,6 +409,6 @@ def enumerate_fu(nctx: NContext, ell: int) -> tuple[int, ...]:
     With F the conductor of d_u, d_u/f^2 is a discriminant exactly when
     f | F, and its conductor is then F/f.
     """
-    F = discriminant_of(nctx.d_u).f
+    F = quadratic_orders.discriminant_of(nctx.d_u).f
     return tuple(f for f in range(1, F + 1) if F % f == 0 and (F // f) % ell)
 

@@ -364,11 +364,13 @@ def test_selftest_makes_the_same_checks_in_the_same_order(monkeypatch):
 
 
 def _loaded_after(code: str, modules) -> list[str]:
-    # the names in `modules` that a fresh process has loaded after running
-    # `code`; -S keeps modules that site-packages .pth files import out of
-    # the picture
+    # the names in `modules` that a fresh process has executed after running
+    # `code`; a module registered with LazyLoader sits in sys.modules before
+    # it runs, and `type()` tells the two apart without loading it; -S keeps
+    # modules that site-packages .pth files import out of the picture
     package_root = str(Path(cmintersect.__file__).resolve().parent.parent)
-    code += f"; import sys; print(*[m for m in {modules!r} if m in sys.modules])"
+    code += ("; import sys, types; print(*[m for m in "
+             f"{modules!r} if type(sys.modules.get(m)) is types.ModuleType])")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=package_root))
     assert proc.returncode == 0, proc.stderr
@@ -384,17 +386,27 @@ def test_cli_import_leaves_out_dataclasses_and_selftest_code():
     assert _loaded_after("import cmintersect.cli, io; "
                          f"[cmintersect.cli.main(argv, out=io.StringIO()) for argv in {verbs!r}]",
                          unwanted) == []
-    # the candidate-prime screen, from the CLI or the library, runs without
-    # the row layer, whose `fractions` imports `decimal`
+    # the candidate-prime screen, from the CLI or the library, executes only
+    # the field layer: not `quadratic_orders` or `local_roots`, and not the
+    # row layer, whose `fractions` imports `decimal`
     e3 = '{"D":228,"alpha":[-21,1],"beta":[-22,38]}'
     screens = [["primes", "--field", WORKED], ["primes", "--field", e3]]
     fields = [(5, 0, 1, 1, 1), (228, -21, 1, -22, 38)]
+    package = Path(cmintersect.__file__).resolve().parent
+    library = ["cmintersect"] + [f"cmintersect.{p.stem}" for p in sorted(package.glob("*.py"))
+                                 if p.stem != "__init__"]
+    # cm_fields must bind the registered module: imported before the
+    # registrations, it would execute a copy that sys.modules no longer holds
     assert _loaded_after(
-        "import cmintersect, cmintersect.cli, io; "
+        "import cmintersect, cmintersect.cli, io, sys; "
+        "assert cmintersect.cm_fields.quadratic_orders is "
+        "sys.modules['cmintersect.quadratic_orders']; "
         f"[cmintersect.cli.main(argv, out=io.StringIO()) for argv in {screens!r}]; "
         "[cmintersect.enumerate_candidate_primes(cmintersect.validate("
         f"cmintersect.CMFieldParams(*p))) for p in {fields!r}]",
-        ("fractions", "decimal")) == []
+        library + ["fractions", "decimal"]) == [
+            "cmintersect", "cmintersect._record", "cmintersect.cli", "cmintersect.cm_fields",
+            "cmintersect.integers"]
 
 
 def test_closed_stdout_ends_the_run_without_a_traceback():

@@ -39,8 +39,10 @@ def test_every_traced_name_is_a_library_function():
 
 def test_tracer_installed_after_import_sees_the_row_layer():
     # worker.py installs the tracer right after `import cmintersect`, when
-    # the row layer is registered but has not run; the tracer only wraps
-    # modules in sys.modules, so a forward from the package alone reads 0
+    # `quadratic_orders`, `local_roots` and the row layer are registered but
+    # have not run; the tracer only wraps modules in sys.modules, so a
+    # forward from the package alone reads 0, and `enumerate_fu` reads
+    # `discriminant_of` through the module, so it sees the wrapper
     code = (
         "import importlib.util, json, sys; import cmintersect as cm; "
         "spec = importlib.util.spec_from_file_location('perfbench_tracing', sys.argv[1]); "
@@ -49,7 +51,8 @@ def test_tracer_installed_after_import_sees_the_row_layer():
         "field = cm.validate(cm.CMFieldParams(5, 0, 1, 1, 1)); "
         "cm.intersection_number(field, 2); cm.enumerate_candidate_primes(field); "
         "tracer.restore(); "
-        "names = ('intersection_number', 'enumerate_candidate_primes', 'build_query', 'scrJ'); "
+        "names = ('intersection_number', 'enumerate_candidate_primes', 'build_query', 'scrJ', "
+        "'discriminant_of', 'frakI'); "
         "print(json.dumps([tracer.layer_totals()['calls'], "
         "[n for n in names if hasattr(getattr(cm, n), '__wrapped__')]]))")
     package_root = str(Path(cmintersect.__file__).resolve().parent.parent)
@@ -59,7 +62,9 @@ def test_tracer_installed_after_import_sees_the_row_layer():
     calls, still_wrapped = json.loads(proc.stdout)
     for name in ("intersection.intersection_number", "intersection.enumerate_candidate_primes",
                  "embedding_counts.build_query", "embedding_counts.scrJ",
-                 "embedding_counts.vanishing_test"):
+                 "embedding_counts.vanishing_test", "cm_fields.enumerate_fu",
+                 "quadratic_orders.discriminant_of", "quadratic_orders.count_invertible_ideals",
+                 "local_roots.frakI"):
         assert calls[name] > 0, name
     # `restore` reaches the package's row-layer names too
     assert still_wrapped == []
